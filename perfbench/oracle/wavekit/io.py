@@ -1,0 +1,300 @@
+"""File formats: signal/points CSV, TSV dumps, JSON reports, PGM images,
+and the run manifest that makes every CLI invocation replayable.
+
+All text is written with explicit "\n" newlines and floats carry 17
+significant digits, so outputs are deterministic bytes and numeric
+round-trips are exact.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from .errors import InvalidSignalError
+from .series import TimeSeries
+
+_FMT = "%.17g"
+
+
+def _fnum(v: float) -> str:
+    return _FMT % v
+
+
+# ---------------------------------------------------------------- signals
+
+def write_signal_csv(path: str, f: TimeSeries) -> None:
+    """Two-column t,value CSV with a comment header."""
+    t = f.time_axis()
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# t,value\n")
+        for k in range(f.n):
+            fh.write(_fnum(t[k]) + "," + _fnum(f.samples[k]) + "\n")
+
+
+def read_signal_csv(path: str) -> TimeSeries:
+    """Parse a signal CSV: either value-per-line or t,value rows.
+
+    Lines starting with '#' and blank lines are skipped. With explicit
+    times the spacing must be uniform to within a relative jitter of
+    1e-9; value-only files get dt = 1. Malformed content raises
+    InvalidSignalError naming the offending line.
+    """
+    ts, vs = [], []
+    ncols = None
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if ncols is None:
+                ncols = len(parts)
+                if ncols not in (1, 2):
+                    raise InvalidSignalError(
+                        f"{path}:{lineno}: expected 1 or 2 columns, got {ncols}")
+            elif len(parts) != ncols:
+                raise InvalidSignalError(
+                    f"{path}:{lineno}: inconsistent column count")
+            try:
+                row = [float(p) for p in parts]
+            except ValueError:
+                raise InvalidSignalError(
+                    f"{path}:{lineno}: not numeric: {line!r}") from None
+            if ncols == 2:
+                ts.append(row[0])
+                vs.append(row[1])
+            else:
+                vs.append(row[0])
+    if not vs:
+        raise InvalidSignalError(f"{path}: no samples")
+    if len(vs) < 2:
+        raise InvalidSignalError(f"{path}: need at least 2 samples")
+
+    if ncols == 1:
+        return TimeSeries(samples=np.asarray(vs), dt=1.0, t0=0.0)
+
+    t = np.asarray(ts)
+    dt = (t[-1] - t[0]) / (len(t) - 1)
+    if dt <= 0:
+        raise InvalidSignalError(f"{path}: time column must increase")
+    jitter = np.abs(np.diff(t) - dt)
+    worst = int(np.argmax(jitter))
+    if jitter[worst] > 1e-9 * abs(dt):
+        raise InvalidSignalError(
+            f"{path}: nonuniform spacing near data row {worst + 1} "
+            f"(jitter {jitter[worst]:.3g} vs dt {dt:.6g})")
+    return TimeSeries(samples=np.asarray(vs), dt=float(dt), t0=float(t[0]))
+
+
+# ----------------------------------------------------------- point clouds
+
+def write_points_csv(path: str, points: np.ndarray) -> None:
+    pts = np.asarray(points, dtype=np.float64)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# x,y\n")
+        for x, y in pts:
+            fh.write(_fnum(x) + "," + _fnum(y) + "\n")
+
+
+def read_points_csv(path: str) -> np.ndarray:
+    rows = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise InvalidSignalError(
+                    f"{path}:{lineno}: expected x,y")
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise InvalidSignalError(
+                    f"{path}:{lineno}: not numeric: {line!r}") from None
+    if not rows:
+        raise InvalidSignalError(f"{path}: no points")
+    return np.asarray(rows, dtype=np.float64)
+
+
+# ------------------------------------------------------------- TSV dumps
+
+def write_scalogram_tsv(path: str, s) -> None:
+    """Long-form rows: time b, scale a, normalized power S."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# b\ta\tS\n")
+        for j in range(s.scales.size):
+            a = _fnum(s.scales[j])
+            row = s.values[j]
+            for i in range(s.times.size):
+                fh.write(_fnum(s.times[i]) + "\t" + a + "\t"
+                         + _fnum(row[i]) + "\n")
+
+
+def write_maxima_tsv(path: str, m) -> None:
+    """Long-form rows: time b, scale a, modulus |W|."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# b\ta\tabs_w\n")
+        for k in range(m.n_points):
+            fh.write(_fnum(m.times[m.time_idx[k]]) + "\t"
+                     + _fnum(m.scales[m.scale_idx[k]]) + "\t"
+                     + _fnum(m.values[k]) + "\n")
+
+
+# ------------------------------------------------------------- JSON views
+
+def write_json(path: str, payload: dict) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def report_to_dict(report) -> dict:
+    return {
+        "events": [
+            {"location": e.location, "kind": e.kind, "strength": e.strength,
+             "alpha": e.alpha, "line_span_octaves": e.line_span_octaves}
+            for e in report.events
+        ],
+        "sigma_hat": report.sigma_hat,
+        "n_lines": report.n_lines,
+        "n_significant": report.n_significant,
+        "wavelet": report.wavelet,
+        "config": asdict(report.config),
+    }
+
+
+def estimate_to_dict(est) -> dict:
+    return {
+        "beta": est.beta,
+        "log_intercept": est.log_intercept,
+        "r_squared": est.r_squared,
+        "hurst": est.hurst,
+        "dimension": est.dimension,
+        "classification": est.classification,
+        "scale_range": list(est.scale_range),
+        "n_scales_used": est.n_scales_used,
+        "warnings": list(est.warnings),
+    }
+
+
+def write_covariance_tsv(path: str, r) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# a\tvariance\tcount\n")
+        for j in range(r.scales.size):
+            fh.write(_fnum(r.scales[j]) + "\t" + _fnum(r.values[j]) + "\t"
+                     + str(int(r.counts[j])) + "\n")
+
+
+# ------------------------------------------------------------- PGM images
+
+def points_to_image(points: np.ndarray, width: int, height: int,
+                    bbox: tuple | None = None) -> np.ndarray:
+    """Rasterize points to a grayscale density image.
+
+    Counts per pixel are compressed with log1p and scaled so the busiest
+    pixel maps to 255. Row 0 is the top of the bounding box (y max).
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
+        raise InvalidSignalError("points must be a nonempty (n, 2) array")
+    if width < 1 or height < 1:
+        raise InvalidSignalError("image dimensions must be positive")
+    if bbox is None:
+        x_lo, x_hi = pts[:, 0].min(), pts[:, 0].max()
+        y_lo, y_hi = pts[:, 1].min(), pts[:, 1].max()
+    else:
+        x_lo, x_hi, y_lo, y_hi = bbox
+    x_span = (x_hi - x_lo) or 1.0
+    y_span = (y_hi - y_lo) or 1.0
+
+    ix = np.clip(((pts[:, 0] - x_lo) / x_span * width).astype(np.int64),
+                 0, width - 1)
+    iy = np.clip(((y_hi - pts[:, 1]) / y_span * height).astype(np.int64),
+                 0, height - 1)
+    counts = np.zeros((height, width), dtype=np.int64)
+    np.add.at(counts, (iy, ix), 1)
+
+    img = np.log1p(counts.astype(np.float64))
+    peak = img.max()
+    if peak > 0:
+        img *= 255.0 / peak
+    return np.rint(img).astype(np.uint8)
+
+
+def write_pgm(path: str, image: np.ndarray) -> None:
+    """Binary (P5) PGM, maxval 255."""
+    img = np.asarray(image, dtype=np.uint8)
+    if img.ndim != 2:
+        raise InvalidSignalError("image must be 2-D")
+    h, w = img.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(img.tobytes())
+
+
+def read_pgm(path: str) -> np.ndarray:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    fields = []
+    pos = 0
+    while len(fields) < 4:
+        while pos < len(data) and data[pos:pos + 1].isspace():
+            pos += 1
+        if data[pos:pos + 1] == b"#":
+            while pos < len(data) and data[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace():
+            pos += 1
+        fields.append(data[start:pos])
+    if fields[0] != b"P5":
+        raise InvalidSignalError(f"{path}: not a binary PGM")
+    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    pos += 1  # single whitespace byte after maxval
+    raster = np.frombuffer(data[pos:pos + w * h], dtype=np.uint8)
+    if raster.size != w * h:
+        raise InvalidSignalError(f"{path}: truncated raster")
+    return raster.reshape(h, w)
+
+
+# ------------------------------------------------------------- manifests
+
+@dataclass(frozen=True)
+class RunManifest:
+    """Everything needed to reproduce one CLI invocation byte for byte."""
+
+    subcommand: str
+    argv: tuple
+    params: dict
+    inputs: tuple
+    outputs: tuple
+    version: str
+
+
+def write_run_manifest(path: str, m: RunManifest) -> None:
+    payload = {
+        "subcommand": m.subcommand,
+        "argv": list(m.argv),
+        "params": m.params,
+        "inputs": list(m.inputs),
+        "outputs": list(m.outputs),
+        "version": m.version,
+    }
+    write_json(path, payload)
+
+
+def read_run_manifest(path: str) -> RunManifest:
+    d = read_json(path)
+    return RunManifest(subcommand=d["subcommand"], argv=tuple(d["argv"]),
+                       params=d["params"], inputs=tuple(d["inputs"]),
+                       outputs=tuple(d["outputs"]), version=d["version"])

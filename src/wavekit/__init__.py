@@ -16,7 +16,8 @@ from .generate import (AffineMap, IfsModel, NoiseSpec, PointCloud, add_noise,
                        barnsley_tree_model, chaos_game, gen_chirp_jump,
                        gen_eq11, gen_fbm)
 from .detect import (DetectionConfig, SingularityEvent, SingularityReport,
-                     detect_singularities, estimate_cusp_exponent)
+                     detect_from_maxima, detect_singularities,
+                     estimate_cusp_exponent)
 from .selfsim import (EstimationConfig, HurstEstimate, WaveletAutoCovariance,
                       classify_hurst, estimation_grid, exponent_relations,
                       fit_power_law, hurst_from_series, wavelet_autocovariance)
@@ -35,7 +36,7 @@ __all__ = [
     "barnsley_tree_model", "chaos_game", "gen_fbm", "gen_eq11",
     "gen_chirp_jump", "add_noise",
     "DetectionConfig", "SingularityEvent", "SingularityReport",
-    "detect_singularities", "estimate_cusp_exponent",
+    "detect_singularities", "detect_from_maxima", "estimate_cusp_exponent",
     "EstimationConfig", "WaveletAutoCovariance", "HurstEstimate",
     "estimation_grid", "wavelet_autocovariance", "fit_power_law",
     "hurst_from_series", "exponent_relations", "classify_hurst",

@@ -15,11 +15,10 @@ import argparse
 import sys
 
 from . import __version__
-from .detect import DetectionConfig, detect_singularities
+from .detect import DetectionConfig, detect_from_maxima
 from .errors import (DegenerateFitError, InvalidHurstError, InvalidModelError,
-                     InvalidSignalError, LineTooShortError,
-                     NoValidSamplesError, OutOfRangeError, ScaleTooFineError,
-                     TooFewScalesError)
+                     InvalidSignalError, NoValidSamplesError,
+                     OutOfRangeError, ScaleTooFineError, TooFewScalesError)
 from .generate import (NoiseSpec, add_noise, barnsley_tree_model, chaos_game,
                        gen_chirp_jump, gen_eq11, gen_fbm)
 from .io import (RunManifest, estimate_to_dict, points_to_image,
@@ -35,7 +34,7 @@ from .wavelets import by_name
 _BAD_INPUT = (InvalidSignalError, InvalidModelError, InvalidHurstError,
               OutOfRangeError, ValueError)
 _BAD_GRID = (ScaleTooFineError, TooFewScalesError)
-_DEGENERATE = (DegenerateFitError, NoValidSamplesError, LineTooShortError)
+_DEGENERATE = (DegenerateFitError, NoValidSamplesError)
 
 
 def main(argv=None) -> int:
@@ -217,20 +216,20 @@ def _cmd_analyze(args) -> None:
     cfg = DetectionConfig(threshold_multiplier=args.threshold,
                           persistence_octaves=args.persistence,
                           max_alpha=args.max_alpha)
-    report = detect_singularities(f, w, g, cfg)
+    c = cwt_fft(f, w, g)
+    maxima = modulus_maxima(c, cfg.min_amplitude_fraction)
+    report = detect_from_maxima(c, maxima, cfg)
 
     outputs = []
     if args.report:
         write_json(args.report, report_to_dict(report))
         outputs.append(args.report)
-    if args.scalogram or args.maxima:
-        c = cwt_fft(f, w, g)
-        if args.scalogram:
-            write_scalogram_tsv(args.scalogram, scalogram(c))
-            outputs.append(args.scalogram)
-        if args.maxima:
-            write_maxima_tsv(args.maxima, modulus_maxima(c))
-            outputs.append(args.maxima)
+    if args.scalogram:
+        write_scalogram_tsv(args.scalogram, scalogram(c))
+        outputs.append(args.scalogram)
+    if args.maxima:
+        write_maxima_tsv(args.maxima, maxima)
+        outputs.append(args.maxima)
 
     params = {"wavelet": args.wavelet, "omega0": args.omega0,
               "voices": args.voices, "a_min": g.a_min, "a_max": g.a_max,
@@ -241,8 +240,7 @@ def _cmd_analyze(args) -> None:
     print(f"{len(report.events)} events "
           f"(sigma_hat={report.sigma_hat:.6g}, lines={report.n_lines})")
     for e in report.events:
-        alpha = "n/a" if e.alpha is None else f"{e.alpha:.4g}"
-        print(f"  {e.kind} at b={e.location:.6g} alpha={alpha} "
+        print(f"  {e.kind} at b={e.location:.6g} alpha={e.alpha:.4g} "
               f"strength={e.strength:.6g}")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LineTooShortError, TooFewScalesError
 from .series import TimeSeries
-from .transform import (CwtMatrix, MaximaLine, ScaleGrid, cwt_fft,
+from .transform import (CwtMatrix, MaximaLine, MaximaSet, ScaleGrid, cwt_fft,
                         modulus_maxima)
 
 # relative dust floor: ignores maxima born purely of float roundoff
@@ -62,9 +62,9 @@ class SingularityEvent:
     """One detected singular point."""
 
     location: float
-    kind: str  # "jump", "cusp" or "unknown"
+    kind: str  # "jump" or "cusp"
     strength: float
-    alpha: float | None
+    alpha: float
     line_span_octaves: float
 
 
@@ -211,17 +211,26 @@ def detect_singularities(f: TimeSeries, wavelet, grid: ScaleGrid | None = None,
     """Locate and classify isolated singularities in a sampled signal.
 
     Pipeline: CWT on a log-spaced grid, per-scale modulus maxima chained
-    into lines, robust noise level from the finest-scale row, persistence
-    gate, exponent estimate, classification, then a scale-aware merge that
-    collapses the twin ridges a jump throws off either flank.
+    into lines, then detect_from_maxima on the two.
     """
     cfg = config or DetectionConfig()
-    g = grid or ScaleGrid.default_for(f)
-    if g.n_scales < 4:
-        raise TooFewScalesError(f"{g.n_scales} scales is too coarse a grid")
+    c = cwt_fft(f, wavelet, grid or ScaleGrid.default_for(f))
+    return detect_from_maxima(c, modulus_maxima(c, cfg.min_amplitude_fraction),
+                              cfg)
 
-    c = cwt_fft(f, wavelet, g)
-    maxima = modulus_maxima(c, cfg.min_amplitude_fraction)
+
+def detect_from_maxima(c: CwtMatrix, maxima: MaximaSet,
+                       config: DetectionConfig | None = None) -> SingularityReport:
+    """Singularities from a computed CWT and its chained modulus maxima.
+
+    Robust noise level from the finest-scale row, persistence gate,
+    exponent estimate, classification, then a scale-aware merge that
+    collapses the twin ridges a jump throws off either flank. maxima must
+    come from modulus_maxima(c, config.min_amplitude_fraction).
+    """
+    cfg = config or DetectionConfig()
+    if c.n_scales < 4:
+        raise TooFewScalesError(f"{c.n_scales} scales is too coarse a grid")
 
     finest = c.coefficients[0]
     finest = finest.real if np.iscomplexobj(finest) else finest
@@ -277,7 +286,7 @@ def detect_singularities(f: TimeSeries, wavelet, grid: ScaleGrid | None = None,
                    for i, _, strength, alpha, span in merged)
     return SingularityReport(events=events, sigma_hat=sigma,
                              n_lines=len(maxima.lines), n_significant=n_sig,
-                             wavelet=wavelet.name, config=cfg)
+                             wavelet=c.wavelet.name, config=cfg)
 
 
 def _significant_span(c: CwtMatrix, maxima, line: MaximaLine,

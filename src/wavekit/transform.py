@@ -9,16 +9,23 @@ sampled support:
 Translations b_i sit at every sample position. Two routes compute the same
 sum: cwt_direct convolves in the time domain, cwt_fft multiplies in the
 frequency domain with the transfer function of the sampled scaled wavelet.
+
+Both routes sample the kernel at offsets m_lo <= m <= m_hi that cover the
+wavelet's support, clipped to |m| <= n - 1: no sample lies further away, so
+the clipped terms multiply nothing. cwt_fft convolves circularly over L
+points, L the smallest 2^i 3^j 5^k >= n + max(m_hi, -m_lo). The n outputs
+it keeps are the linear-convolution entries m_hi .. m_hi + n - 1, and at
+that length no other entry wraps onto them, so the circular result is the
+linear one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScaleTooFineError, TooFewScalesError
+from .errors import ScaleTooFineError
 from .series import TimeSeries
 from .wavelets import Wavelet, support_radius
 
@@ -156,18 +163,35 @@ def _check_grid(f: TimeSeries, g: ScaleGrid) -> None:
             f"finest scale {g.a_min:g} is below 2*dt = {2 * f.dt:g}")
 
 
-def _kernel(w: Wavelet, a: float, dt: float):
+def _kernel(w: Wavelet, a: float, dt: float, n: int):
     """Sampled, conjugated wavelet at scale a: c_m = conj(psi(m dt / a)).
 
-    Returns (c, m_lo) with offsets m = m_lo .. m_lo + len(c) - 1 covering the
-    unit-scale support of the wavelet.
+    Returns (c, m_lo, m_hi) with offsets m = m_lo .. m_hi covering the
+    unit-scale support of the wavelet, clipped to |m| <= n - 1 because an
+    n-sample record has no two samples further apart.
     """
     lo, hi = w.support
-    m_lo = int(np.floor(lo * a / dt))
-    m_hi = int(np.ceil(hi * a / dt))
+    m_lo = max(int(np.floor(lo * a / dt)), 1 - n)
+    m_hi = min(int(np.ceil(hi * a / dt)), n - 1)
     m = np.arange(m_lo, m_hi + 1)
     c = np.conj(w.psi(m * dt / a))
     return c, m_lo, m_hi
+
+
+def _smooth_length(m: int) -> int:
+    """Smallest 2^i 3^j 5^k >= m, a length the FFT handles at full speed."""
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < m:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _cone(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> np.ndarray:
@@ -182,7 +206,7 @@ def cwt_direct(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
     dtype = np.complex128 if w.is_complex else np.float64
     out = np.empty((g.n_scales, n), dtype=dtype)
     for j, a in enumerate(g.scales):
-        c, m_lo, m_hi = _kernel(w, a, f.dt)
+        c, m_lo, m_hi = _kernel(w, a, f.dt, n)
         # W[i] = sum_m x[i+m] c[m] = convolve(x, reversed(c))[i + m_hi]
         row = np.convolve(x, c[::-1])
         out[j] = row[m_hi:m_hi + n] * (f.dt / np.sqrt(a))
@@ -195,23 +219,29 @@ def cwt_fft(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
 
     Per scale the zero-padded signal spectrum is multiplied by the transfer
     function of the scaled wavelet (the DFT of the sampled kernel), which is
-    the frequency-domain image of the same rectangle-rule sum.
+    the frequency-domain image of the same rectangle-rule sum. The padded
+    length is L = the smallest 2^i 3^j 5^k >= n + max(m_hi, -m_lo): the
+    linear convolution of the signal with the reversed kernel runs over
+    indices 0 .. n + m_hi - m_lo - 1, and at this L the entries that wrap
+    around land outside the kept slice m_hi .. m_hi + n - 1. L never shrinks
+    as the scales grow, so the signal spectrum is recomputed only when L
+    changes.
     """
     _check_grid(f, g)
     x = f.samples
     n = f.n
     dtype = np.complex128 if w.is_complex else np.float64
+    fft, ifft = (np.fft.fft, np.fft.ifft) if w.is_complex else \
+        (np.fft.rfft, np.fft.irfft)
     out = np.empty((g.n_scales, n), dtype=dtype)
+    size, x_spec = 0, None
     for j, a in enumerate(g.scales):
-        c, m_lo, m_hi = _kernel(w, a, f.dt)
-        klen = c.size
-        size = 1 << int(np.ceil(np.log2(n + klen - 1)))
-        if w.is_complex:
-            spec = np.fft.fft(x, size) * np.fft.fft(c[::-1], size)
-            row = np.fft.ifft(spec)
-        else:
-            spec = np.fft.rfft(x, size) * np.fft.rfft(c[::-1], size)
-            row = np.fft.irfft(spec, size)
+        c, m_lo, m_hi = _kernel(w, a, f.dt, n)
+        length = _smooth_length(n + max(m_hi, -m_lo))
+        if length != size:
+            size = length
+            x_spec = fft(x, size)
+        row = ifft(x_spec * fft(c[::-1], size), size)
         out[j] = row[m_hi:m_hi + n] * (f.dt / np.sqrt(a))
     return CwtMatrix(coefficients=out, scales=g.scales.copy(), times=f.time_axis(),
                      cone_of_influence=_cone(f, w, g), dt=f.dt, wavelet=w)

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from wavekit import TimeSeries
+from wavekit import (DetectionConfig, ScaleGrid, TimeSeries, by_name, cwt_fft,
+                     detect_singularities, modulus_maxima, scalogram)
 from wavekit.cli import main
-from wavekit.io import read_json, read_pgm, read_signal_csv, write_signal_csv
+from wavekit.io import (read_json, read_pgm, read_signal_csv, report_to_dict,
+                        write_json, write_maxima_tsv, write_scalogram_tsv,
+                        write_signal_csv)
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -66,6 +69,29 @@ def test_analyze_side_files_and_manifests(tmp_path):
         assert m["inputs"] == [sig]
         assert set(m["outputs"]) == {sca, mx}
         assert m["params"]["threshold"] == 3.0
+
+
+@pytest.mark.parametrize("wavelet", ["mexican-hat", "morlet"])
+def test_analyze_dumps_match_the_library(tmp_path, wavelet):
+    """One transform feeds the report and both dumps; each file holds the
+    same bytes as the library pipeline run on its own."""
+    sig = _gen_signal(tmp_path, n=512, extra=("--sigma", "0.2", "--seed", "3"))
+    got = {k: str(tmp_path / f"got.{k}") for k in ("json", "s.tsv", "m.tsv")}
+    assert main(["analyze", sig, "--wavelet", wavelet, "--report", got["json"],
+                 "--scalogram", got["s.tsv"], "--maxima", got["m.tsv"]]) == 0
+
+    f = read_signal_csv(sig)
+    w = by_name(wavelet)
+    g = ScaleGrid.default_for(f)
+    c = cwt_fft(f, w, g)
+    want = {k: str(tmp_path / f"want.{k}") for k in got}
+    write_json(want["json"], report_to_dict(
+        detect_singularities(f, w, g, DetectionConfig())))
+    write_scalogram_tsv(want["s.tsv"], scalogram(c))
+    write_maxima_tsv(want["m.tsv"], modulus_maxima(c))
+    for k in got:
+        with open(got[k], "rb") as a, open(want[k], "rb") as b:
+            assert a.read() == b.read(), k
 
 
 def test_estimate_writes_fit_json(tmp_path, capsys):

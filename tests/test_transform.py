@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from wavekit import (CwtMatrix, Haar, MexicanHat, Morlet, ScaleGrid,
                      ScaleTooFineError, TimeSeries, cwt_direct, cwt_fft,
                      modulus_maxima, scalogram, support_radius)
+from wavekit.transform import _smooth_length
 
 WAVELETS = [MexicanHat(), Morlet(), Haar()]
 
@@ -87,6 +88,41 @@ def test_fft_matches_direct(w):
             continue
         err = np.abs(cf.coefficients[j, m] - cd.coefficients[j, m]).max()
         assert err < 1e-9 * max(np.abs(cd.coefficients[j, m]).max(), 1e-30)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 257, 300, 1000])
+@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
+def test_fft_matches_direct_over_whole_rows(w, n):
+    """Cone of influence included, on grids up to a = n dt, where the
+    wavelet's support reaches past both ends of the record and the kernel
+    offsets are clipped to the record length."""
+    f = _noise(n, n)
+    g = ScaleGrid.log_spaced(2.0 * f.dt, n * f.dt, 4.0)
+    cf = cwt_fft(f, w, g).coefficients
+    cd = cwt_direct(f, w, g).coefficients
+    for j in range(g.n_scales):
+        scale = np.abs(cd[j]).max()
+        assert np.abs(cf[j] - cd[j]).max() <= 1e-9 * scale
+    if n <= 300:
+        # the defining sum over every sample, with no kernel support at all
+        k = np.arange(n)
+        for j, a in enumerate(g.scales):
+            t = (k[None, :] - k[:, None]) * f.dt / a
+            ref = (np.conj(w.psi(t)) @ f.samples) * (f.dt / np.sqrt(a))
+            assert np.abs(cf[j] - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_smooth_length_is_the_next_5_smooth_number():
+    smooth = sorted({2 ** i * 3 ** j * 5 ** k for i in range(14)
+                     for j in range(9) for k in range(6)})
+    for m in range(1, 5001):
+        got = _smooth_length(m)
+        rest = got
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1 and got >= m
+        assert got == smooth[np.searchsorted(smooth, m)]
 
 
 def _quadrature_oracle(w, samples_of, b, a, lo, hi, singular_at=None):

@@ -159,13 +159,11 @@ def _manifests(args, subcommand: str, params: dict, inputs: list,
 
 
 def _grid_for(args, f, default) -> ScaleGrid:
-    lo = args.a_min if args.a_min is not None else None
-    hi = args.a_max if args.a_max is not None else None
-    if lo is None and hi is None:
-        return default(f, args.voices)
     base = default(f, args.voices)
-    return ScaleGrid.log_spaced(lo if lo is not None else base.a_min,
-                                hi if hi is not None else base.a_max,
+    if args.a_min is None and args.a_max is None:
+        return base
+    return ScaleGrid.log_spaced(base.a_min if args.a_min is None else args.a_min,
+                                base.a_max if args.a_max is None else args.a_max,
                                 args.voices)
 
 

@@ -13,6 +13,7 @@ discarded rather than reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import ceil, log2
 
 import numpy as np
@@ -80,22 +81,28 @@ class SingularityReport:
     config: DetectionConfig = field(default_factory=DetectionConfig)
 
 
+def _trusted(c: CwtMatrix, line: MaximaLine):
+    """Scales of the line's points and the mask of those a fit may read.
+
+    A point is trusted outside the cone of influence and below the grid's
+    top octave, where neighbouring structure bleeds in.
+    """
+    a = c.scales[line.scale_idx]
+    cone = c.cone_of_influence[line.scale_idx]
+    ok = (line.time_idx >= cone) & (line.time_idx < len(c.times) - cone)
+    ok &= a <= c.scales[-1] / 2.0 + 1e-15 * c.scales[-1]
+    return a, ok
+
+
 def _usable_points(c: CwtMatrix, line: MaximaLine, noise_floor: float,
                    fit_octaves: float):
     """Select the line points a decay fit can trust.
 
-    Outside the cone of influence, below the grid's top octave (where
-    neighbouring structure bleeds in), above noise_floor, and within
-    fit_octaves of the line's finest usable scale so the asymptotic
-    fine-scale slope is measured rather than some global average.
+    Trusted (see _trusted), above noise_floor, and within fit_octaves of
+    the line's finest usable scale so the asymptotic fine-scale slope is
+    measured rather than some global average.
     """
-    a = c.scales[line.scale_idx]
-    t_idx = line.time_idx
-    n = len(c.times)
-
-    cone = c.cone_of_influence[line.scale_idx]
-    ok = (t_idx >= cone) & (t_idx < n - cone)
-    ok &= a <= c.scales[-1] / 2.0 + 1e-15 * c.scales[-1]
+    a, ok = _trusted(c, line)
     ok &= line.values > max(noise_floor, 0.0)
     if np.any(ok):
         a_fine = a[ok].min()
@@ -162,11 +169,7 @@ def _line_readout(c: CwtMatrix, line: MaximaLine, thr: float,
     tail; raises LineTooShortError when the cone of influence or the
     grid leaves too little to read.
     """
-    a = c.scales[line.scale_idx]
-    n = len(c.times)
-    cone = c.cone_of_influence[line.scale_idx]
-    usable = (line.time_idx >= cone) & (line.time_idx < n - cone)
-    usable &= a <= c.scales[-1] / 2.0 + 1e-15 * c.scales[-1]
+    a, usable = _trusted(c, line)
     sig = usable & (line.values >= thr)
 
     anchor = -1
@@ -236,22 +239,27 @@ def detect_from_maxima(c: CwtMatrix, maxima: MaximaSet,
     finest = finest.real if np.iscomplexobj(finest) else finest
     sigma = float(np.median(np.abs(finest - np.median(finest))) / 0.6745)
 
-    absmax = float(np.abs(c.coefficients).max()) if c.coefficients.size else 0.0
+    # row by row: a whole-matrix |W| would be the run's largest temporary
+    absmax = max(float(np.abs(row).max()) for row in c.coefficients) \
+        if c.coefficients.size else 0.0
     thr = max(cfg.threshold_multiplier * sigma, _DUST * absmax)
     loc_floor = max(2.0 * sigma, _DUST * absmax)
 
-    # owner of each chained maxima point, for following merged ridges
-    owner = np.full(maxima.n_points, -1, dtype=np.int64)
-    for li, ln in enumerate(maxima.lines):
-        owner[ln.point_indices] = li
     scale_starts = np.searchsorted(maxima.scale_idx,
                                    np.arange(c.scales.size + 1))
 
+    # a line with no point >= thr spans -1 octaves and anchors no readout,
+    # so only the persistence test can count it
+    peak = np.full(len(maxima.lines), -np.inf)
+    np.fmax.at(peak, maxima.line_id, maxima.values)
+    live = peak >= thr
+    n_sig = 0 if -1.0 < cfg.persistence_octaves else \
+        int(np.count_nonzero(~live))
+
     candidates = []
-    n_sig = 0
-    for line in maxima.lines:
+    for line in compress(maxima.lines, live):
         a = c.scales[line.scale_idx]
-        span = _significant_span(c, maxima, line, owner, scale_starts, thr)
+        span = _significant_span(c, maxima, line, scale_starts, thr)
         if span < cfg.persistence_octaves:
             continue
         n_sig += 1
@@ -289,9 +297,8 @@ def detect_from_maxima(c: CwtMatrix, maxima: MaximaSet,
                              wavelet=c.wavelet.name, config=cfg)
 
 
-def _significant_span(c: CwtMatrix, maxima, line: MaximaLine,
-                      owner: np.ndarray, scale_starts: np.ndarray,
-                      thr: float) -> float:
+def _significant_span(c: CwtMatrix, maxima: MaximaSet, line: MaximaLine,
+                      scale_starts: np.ndarray, thr: float) -> float:
     """Octaves spanned by the line's above-threshold evidence.
 
     Converging ridges share their coarse stretch, but the chaining gives
@@ -326,7 +333,7 @@ def _significant_span(c: CwtMatrix, maxima, line: MaximaLine,
                     best_d, best = d, lo + k
         if best < 0:
             break
-        host = maxima.lines[owner[best]]
+        host = maxima.lines[maxima.line_id[best]]
         seg_sig = (host.scale_idx >= j2) & (host.values >= thr)
         if np.any(seg_sig):
             a_hi = max(a_hi, float(c.scales[host.scale_idx[seg_sig]].max()))

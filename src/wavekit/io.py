@@ -4,6 +4,13 @@ and the run manifest that makes every CLI invocation replayable.
 All text is written with explicit "\n" newlines and floats carry 17
 significant digits, so outputs are deterministic bytes and numeric
 round-trips are exact.
+
+The CSV and TSV writers format their rows in blocks: one %-template per
+block of at most _BLOCK_ROWS rows (one per scale for the scalogram, whose
+time column is formatted once), applied to a tuple of the block's values.
+"%.17g" formats a Python float and an np.float64 alike, so the bytes are
+those of formatting each value on its own; no file is built whole in
+memory.
 """
 
 from __future__ import annotations
@@ -17,21 +24,41 @@ from .errors import InvalidSignalError
 from .series import TimeSeries
 
 _FMT = "%.17g"
+_BLOCK_ROWS = 65536
 
 
 def _fnum(v: float) -> str:
     return _FMT % v
 
 
+def _strings(values: np.ndarray) -> np.ndarray:
+    """Each value formatted once, as an object array for fancy indexing."""
+    return np.array([_FMT % v for v in values.tolist()], dtype=object)
+
+
+def _write_rows(fh, row: str, *columns: np.ndarray) -> None:
+    """Write the %-template row once per index of the columns.
+
+    Each block of rows is one % of the repeated template against the
+    block's values, interleaved row by row from the columns.
+    """
+    width = len(columns)
+    total = len(columns[0])
+    for lo in range(0, total, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, total)
+        args = [None] * ((hi - lo) * width)
+        for k, col in enumerate(columns):
+            args[k::width] = col[lo:hi].tolist()
+        fh.write(row * (hi - lo) % tuple(args))
+
+
 # ---------------------------------------------------------------- signals
 
 def write_signal_csv(path: str, f: TimeSeries) -> None:
     """Two-column t,value CSV with a comment header."""
-    t = f.time_axis()
     with open(path, "w", newline="\n") as fh:
         fh.write("# t,value\n")
-        for k in range(f.n):
-            fh.write(_fnum(t[k]) + "," + _fnum(f.samples[k]) + "\n")
+        _write_rows(fh, _FMT + "," + _FMT + "\n", f.time_axis(), f.samples)
 
 
 def read_signal_csv(path: str) -> TimeSeries:
@@ -93,10 +120,11 @@ def read_signal_csv(path: str) -> TimeSeries:
 
 def write_points_csv(path: str, points: np.ndarray) -> None:
     pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must be an (n, 2) array")
     with open(path, "w", newline="\n") as fh:
         fh.write("# x,y\n")
-        for x, y in pts:
-            fh.write(_fnum(x) + "," + _fnum(y) + "\n")
+        _write_rows(fh, _FMT + "," + _FMT + "\n", pts[:, 0], pts[:, 1])
 
 
 def read_points_csv(path: str) -> np.ndarray:
@@ -124,24 +152,21 @@ def read_points_csv(path: str) -> np.ndarray:
 
 def write_scalogram_tsv(path: str, s) -> None:
     """Long-form rows: time b, scale a, normalized power S."""
+    times = _strings(s.times)
     with open(path, "w", newline="\n") as fh:
         fh.write("# b\ta\tS\n")
         for j in range(s.scales.size):
-            a = _fnum(s.scales[j])
-            row = s.values[j]
-            for i in range(s.times.size):
-                fh.write(_fnum(s.times[i]) + "\t" + a + "\t"
-                         + _fnum(row[i]) + "\n")
+            row = "%s\t" + _fnum(s.scales[j]) + "\t" + _FMT + "\n"
+            _write_rows(fh, row, times, s.values[j])
 
 
 def write_maxima_tsv(path: str, m) -> None:
     """Long-form rows: time b, scale a, modulus |W|."""
     with open(path, "w", newline="\n") as fh:
         fh.write("# b\ta\tabs_w\n")
-        for k in range(m.n_points):
-            fh.write(_fnum(m.times[m.time_idx[k]]) + "\t"
-                     + _fnum(m.scales[m.scale_idx[k]]) + "\t"
-                     + _fnum(m.values[k]) + "\n")
+        _write_rows(fh, "%s\t%s\t" + _FMT + "\n",
+                    _strings(m.times)[m.time_idx],
+                    _strings(m.scales)[m.scale_idx], m.values)
 
 
 # ------------------------------------------------------------- JSON views

@@ -143,11 +143,16 @@ class MaximaLine:
 
 @dataclass(frozen=True)
 class MaximaSet:
-    """Modulus maxima (i, j, |W|) and their chained lines."""
+    """Modulus maxima (i, j, |W|) as flat arrays, plus their chained lines.
+
+    The points are in (scale, time) order. line_id[k] is the line point k
+    belongs to; lines[line_id[k]] holds it.
+    """
 
     time_idx: np.ndarray
     scale_idx: np.ndarray
     values: np.ndarray
+    line_id: np.ndarray
     lines: tuple
     scales: np.ndarray
     times: np.ndarray
@@ -258,79 +263,75 @@ def modulus_maxima(c: CwtMatrix, min_amplitude_fraction: float = 0.0) -> MaximaS
 
     A column i is a maximum when |W[j][i]| > |W[j][i-1]| and
     |W[j][i]| >= |W[j][i+1]| (leftmost point of a plateau wins) and clears
-    min_amplitude_fraction of the row maximum. Maxima at adjacent scales are
-    linked nearest-neighbor when their time offset is at most a_{j+1}/dt
-    samples; unmatched maxima start new lines, unmatched lines terminate.
-    Ridges converge as scale grows, so each maximum extends at most one
-    line; a line beaten to its nearest coarse maximum ends there.
+    min_amplitude_fraction of the row maximum. The points come out as flat
+    arrays in (scale, time) order.
+
+    Maxima at adjacent scales are linked nearest-neighbor when their time
+    offset is at most a_{j+1}/dt samples. Each maximum at scale j is paired
+    with the at most two maxima flanking it at scale j+1; the pairs are
+    taken greedily by (offset, coarse time index, fine time index), and a
+    pair is skipped when either end is already linked. Unmatched maxima
+    start new lines, unmatched lines terminate. Ridges converge as scale
+    grows, so each maximum extends at most one line; a line beaten to its
+    nearest coarse maximum ends there. Lines are numbered in the order of
+    their first point, and line_id gives each point's line.
     """
     if not 0.0 <= min_amplitude_fraction <= 1.0:
         raise ValueError("min_amplitude_fraction must be in [0, 1]")
     mag = np.abs(c.coefficients)
     n_scales, n = mag.shape
 
-    per_scale = []
-    for j in range(n_scales):
-        row = mag[j]
-        is_max = np.zeros(n, dtype=bool)
-        is_max[1:-1] = (row[1:-1] > row[:-2]) & (row[1:-1] >= row[2:])
-        if min_amplitude_fraction > 0.0:
-            is_max &= row >= min_amplitude_fraction * row.max()
-        idx = np.nonzero(is_max)[0]
-        per_scale.append((idx, row[idx]))
+    is_max = np.zeros(mag.shape, dtype=bool)
+    np.greater(mag[:, 1:-1], mag[:, :-2], out=is_max[:, 1:-1])
+    is_max[:, 1:-1] &= mag[:, 1:-1] >= mag[:, 2:]
+    if min_amplitude_fraction > 0.0:
+        is_max &= mag >= min_amplitude_fraction * mag.max(axis=1, keepdims=True)
+    scale_idx, time_idx = np.nonzero(is_max)
+    values = mag[scale_idx, time_idx]
+    # whole-matrix arrays: held through the chaining they set peak memory
+    del mag, is_max
 
-    time_idx = np.concatenate([p[0] for p in per_scale]) if per_scale else np.empty(0, np.int64)
-    scale_idx = np.concatenate([np.full(p[0].size, j, dtype=np.int64)
-                                for j, p in enumerate(per_scale)]) if per_scale else np.empty(0, np.int64)
-    values = np.concatenate([p[1] for p in per_scale]) if per_scale else np.empty(0)
+    # candidate links: every maximum not on the coarsest scale against the
+    # two maxima one scale up that flank its time index, the right one
+    # found by one search over the (scale, time)-ordered keys
+    bounds = np.searchsorted(scale_idx, np.arange(n_scales + 1))
+    key = scale_idx * (n + 1) + time_idx
+    pos = np.searchsorted(key, key[:bounds[-2]] + (n + 1))
+    head = np.tile(np.arange(pos.size), 2)
+    new = np.concatenate((pos - 1, pos))
+    keep = new < key.size
+    head, new = head[keep], new[keep]
+    dist = np.abs(time_idx[new] - time_idx[head])
+    keep = (scale_idx[new] == scale_idx[head] + 1) & \
+        (dist <= c.scales[scale_idx[new]] / c.dt)
+    head, new, dist = head[keep], new[keep], dist[keep]
+    order = np.lexsort((time_idx[head], time_idx[new], dist, scale_idx[new]))
 
-    # flat point index of the first maximum at each scale
-    offsets = np.zeros(n_scales + 1, dtype=np.int64)
-    for j, p in enumerate(per_scale):
-        offsets[j + 1] = offsets[j] + p[0].size
+    # greedy nearest-first matching; each point links at most once each way
+    parent = np.full(scale_idx.size, -1, dtype=np.int64)
+    new_taken = bytearray(scale_idx.size)
+    head_taken = bytearray(scale_idx.size)
+    for k, h in zip(new[order].tolist(), head[order].tolist()):
+        if new_taken[k] or head_taken[h]:
+            continue
+        new_taken[k] = head_taken[h] = 1
+        parent[k] = h
 
-    # chain fine -> coarse
-    lines = []          # each: list of flat point indices
-    line_of_head = {}   # time index at current scale -> line id
-    for j in range(n_scales):
-        idx, vals = per_scale[j]
-        flat = offsets[j] + np.arange(idx.size)
-        matched = {}
-        if j > 0 and line_of_head:
-            tol = c.scales[j] / c.dt
-            heads = np.array(sorted(line_of_head.keys()), dtype=np.int64)
-            # candidate pairs: each head against its flanking maxima
-            cand = []
-            for h in heads:
-                pos = np.searchsorted(idx, h)
-                for k in (pos - 1, pos):
-                    if 0 <= k < idx.size:
-                        d = abs(int(idx[k]) - int(h))
-                        if d <= tol:
-                            cand.append((d, int(idx[k]), int(h)))
-            cand.sort()
-            used_heads = set()
-            for d, i_new, h in cand:
-                if i_new in matched or h in used_heads:
-                    continue
-                matched[i_new] = line_of_head[h]
-                used_heads.add(h)
-        new_heads = {}
-        for k in range(idx.size):
-            i = int(idx[k])
-            if i in matched:
-                line_id = matched[i]
-                lines[line_id].append(int(flat[k]))
-            else:
-                line_id = len(lines)
-                lines.append([int(flat[k])])
-            new_heads[i] = line_id
-        line_of_head = new_heads
+    # a point with no parent opens the next line; the rest inherit theirs
+    line_id = np.cumsum(parent < 0) - 1
+    for j in range(1, n_scales):
+        seg = slice(bounds[j], bounds[j + 1])
+        linked = parent[seg] >= 0
+        line_id[seg][linked] = line_id[parent[seg][linked]]
 
-    built = []
-    for pts in lines:
-        p = np.asarray(pts, dtype=np.int64)
-        built.append(MaximaLine(scale_idx=scale_idx[p], time_idx=time_idx[p],
-                                values=values[p], point_indices=p))
+    # lines are runs of the points sorted stably by line, fine to coarse
+    members = np.argsort(line_id, kind="stable")
+    ends = np.cumsum(np.bincount(line_id)).tolist()
+    by_line = scale_idx[members], time_idx[members], values[members]
+    lines = tuple(
+        MaximaLine(scale_idx=by_line[0][lo:hi], time_idx=by_line[1][lo:hi],
+                   values=by_line[2][lo:hi], point_indices=members[lo:hi])
+        for lo, hi in zip([0] + ends[:-1], ends))
     return MaximaSet(time_idx=time_idx, scale_idx=scale_idx, values=values,
-                     lines=tuple(built), scales=c.scales, times=c.times)
+                     line_id=line_id, lines=lines, scales=c.scales,
+                     times=c.times)

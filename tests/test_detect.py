@@ -5,6 +5,7 @@ from wavekit import (DetectionConfig, LineTooShortError, MexicanHat,
                      ScaleGrid, TimeSeries, TooFewScalesError, cwt_fft,
                      detect_singularities, estimate_cusp_exponent,
                      gen_chirp_jump, gen_eq11, modulus_maxima)
+from wavekit.detect import _DUST, _significant_span, detect_from_maxima
 
 MEXHAT = MexicanHat()
 
@@ -121,6 +122,23 @@ def test_report_bookkeeping():
                for e in rep.events)
     assert rep.sigma_hat > 0.0
     assert rep.wavelet == "mexican-hat"
+
+
+@pytest.mark.parametrize("persistence", [-2.0, -1.0, -0.5, 0.0, 1.0, 2.0])
+def test_significant_count_matches_every_lines_span(persistence):
+    # lines with no point above threshold span -1 octaves and are skipped
+    # before the per-line loop; the count must not notice
+    f = gen_chirp_jump(2048, sigma=0.5, seed=7)
+    c = cwt_fft(f, MEXHAT, ScaleGrid.default_for(f))
+    m = modulus_maxima(c)
+    cfg = DetectionConfig(persistence_octaves=persistence)
+    rep = detect_from_maxima(c, m, cfg)
+    thr = max(cfg.threshold_multiplier * rep.sigma_hat,
+              _DUST * np.abs(c.coefficients).max())
+    starts = np.searchsorted(m.scale_idx, np.arange(c.n_scales + 1))
+    spans = [_significant_span(c, m, ln, starts, thr) for ln in m.lines]
+    assert min(spans) == -1.0
+    assert rep.n_significant == sum(not s < persistence for s in spans)
 
 
 def test_default_config_values():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavekit import (DetectionConfig, InvalidSignalError, MexicanHat,
-                     ScaleGrid, TimeSeries, barnsley_tree_model, chaos_game,
-                     cwt_fft, detect_singularities, gen_chirp_jump,
-                     modulus_maxima, scalogram, wavelet_autocovariance)
+import wavekit.io
+from wavekit import (DetectionConfig, InvalidSignalError, MaximaSet,
+                     MexicanHat, ScaleGrid, Scalogram, TimeSeries,
+                     barnsley_tree_model, chaos_game, cwt_fft,
+                     detect_singularities, gen_chirp_jump, modulus_maxima,
+                     scalogram, wavelet_autocovariance)
 from wavekit.io import (RunManifest, _fnum, estimate_to_dict, points_to_image,
                         read_json, read_pgm, read_points_csv,
                         read_run_manifest, read_signal_csv, report_to_dict,
@@ -260,3 +263,90 @@ def test_manifest_round_trip(tmp_path):
     p = str(tmp_path / "run.manifest.json")
     write_run_manifest(p, m)
     assert read_run_manifest(p) == m
+
+
+# ----------------------------------------------- writer bytes, row by row
+
+_SPECIAL = np.array([-0.0, 0.0, 5e-324, 2.5e-310, 1e308, -1e308, 3.0, -7.0,
+                     2.0 ** 53, 0.1, 1.0 / 3.0, np.nan, np.inf, -np.inf])
+
+
+def _row_bytes(header, sep, rows):
+    """The writers' format, one value at a time: the reference for bytes."""
+    return (header + "".join(sep.join("%.17g" % v for v in row) + "\n"
+                             for row in rows)).encode()
+
+
+def _special_values(size, seed):
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 308, size)
+    k = min(size, _SPECIAL.size)
+    out[:k] = _SPECIAL[:k]
+    return out
+
+
+@pytest.fixture(params=[7, 65536], ids=["blocks-of-7", "default-blocks"])
+def block_rows(request, monkeypatch):
+    monkeypatch.setattr(wavekit.io, "_BLOCK_ROWS", request.param)
+    return request.param
+
+
+def test_points_csv_bytes_match_the_row_formatter(tmp_path, block_rows):
+    pts = _special_values(2 * 40, 1).reshape(-1, 2)
+    p = tmp_path / "pts.csv"
+    write_points_csv(str(p), pts)
+    assert p.read_bytes() == _row_bytes("# x,y\n", ",", pts.tolist())
+    write_points_csv(str(p), np.empty((0, 2)))
+    assert p.read_bytes() == b"# x,y\n"
+
+
+def test_signal_csv_bytes_match_the_row_formatter(tmp_path, block_rows):
+    values = _special_values(40, 2)
+    f = TimeSeries(samples=values[np.isfinite(values)], dt=0.1, t0=-2.5)
+    p = tmp_path / "sig.csv"
+    write_signal_csv(str(p), f)
+    assert p.read_bytes() == _row_bytes(
+        "# t,value\n", ",", zip(f.time_axis(), f.samples))
+
+
+def test_scalogram_tsv_bytes_match_the_row_formatter(tmp_path, block_rows):
+    times = _special_values(20, 3)
+    scales = np.array([5e-324, 0.5, 1e308, np.inf])
+    values = _special_values(scales.size * times.size, 4).reshape(
+        scales.size, times.size)
+    p = tmp_path / "s.tsv"
+    write_scalogram_tsv(str(p), Scalogram(values=values, scales=scales,
+                                          times=times))
+    assert p.read_bytes() == _row_bytes(
+        "# b\ta\tS\n", "\t",
+        [(times[i], scales[j], values[j, i])
+         for j in range(scales.size) for i in range(times.size)])
+
+
+def test_maxima_tsv_bytes_match_the_row_formatter(tmp_path, block_rows):
+    rng = np.random.default_rng(5)
+    times, scales = _special_values(30, 6), _special_values(6, 7)
+    scale_idx = np.sort(rng.integers(0, scales.size, 50))
+    time_idx = rng.integers(0, times.size, 50)
+    m = MaximaSet(time_idx=time_idx, scale_idx=scale_idx,
+                  values=_special_values(50, 8), line_id=np.arange(50),
+                  lines=(), scales=scales, times=times)
+    p = tmp_path / "m.tsv"
+    write_maxima_tsv(str(p), m)
+    assert p.read_bytes() == _row_bytes(
+        "# b\ta\tabs_w\n", "\t",
+        [(times[i], scales[j], v)
+         for i, j, v in zip(time_idx, scale_idx, m.values)])
+
+
+def test_scalogram_tsv_bytes_are_pinned(tmp_path):
+    i = np.arange(6)
+    scales = np.array([0.2, 0.4, 0.8, 1.6])
+    values = np.sqrt(1.0 + i[None, :]) / (scales * np.sqrt(scales))[:, None]
+    values[1, 2], values[2, 3], values[3, 4], values[0, 5] = \
+        -0.0, 5e-324, 1e308, 3.0
+    p = tmp_path / "pin.tsv"
+    write_scalogram_tsv(str(p), Scalogram(values=values, scales=scales,
+                                          times=0.1 * i - 0.25))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == \
+        "a60f63f21b72a06681b7c642a1c0195361fd683a61a889cd69b43da524b34804"

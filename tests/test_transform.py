@@ -346,3 +346,137 @@ def test_isolated_singularity_owns_a_long_line():
                if abs(c.times[ln.time_idx[0]] - 0.5) < 0.01]
     assert at_half
     assert max(ln.span_octaves(c.scales) for ln in at_half) > 4.0
+
+
+def _reference_maxima(c, min_amplitude_fraction=0.0):
+    """The per-scale loop modulus_maxima replaced, kept as its oracle.
+
+    Returns the flat (time_idx, scale_idx, values) arrays and each line's
+    flat point indices, in the order the loop created the lines.
+    """
+    mag = np.abs(c.coefficients)
+    n_scales, n = mag.shape
+    per_scale = []
+    for j in range(n_scales):
+        row = mag[j]
+        is_max = np.zeros(n, dtype=bool)
+        is_max[1:-1] = (row[1:-1] > row[:-2]) & (row[1:-1] >= row[2:])
+        if min_amplitude_fraction > 0.0:
+            is_max &= row >= min_amplitude_fraction * row.max()
+        idx = np.nonzero(is_max)[0]
+        per_scale.append((idx, row[idx]))
+    time_idx = np.concatenate([p[0] for p in per_scale])
+    scale_idx = np.concatenate([np.full(p[0].size, j, dtype=np.int64)
+                                for j, p in enumerate(per_scale)])
+    values = np.concatenate([p[1] for p in per_scale])
+    offsets = np.cumsum([0] + [p[0].size for p in per_scale])
+
+    lines = []
+    line_of_head = {}
+    for j in range(n_scales):
+        idx = per_scale[j][0]
+        matched = {}
+        if j > 0 and line_of_head:
+            tol = c.scales[j] / c.dt
+            cand = []
+            for h in sorted(line_of_head):
+                pos = np.searchsorted(idx, h)
+                for k in (pos - 1, pos):
+                    if 0 <= k < idx.size:
+                        d = abs(int(idx[k]) - int(h))
+                        if d <= tol:
+                            cand.append((d, int(idx[k]), int(h)))
+            cand.sort()
+            used_heads = set()
+            for d, i_new, h in cand:
+                if i_new in matched or h in used_heads:
+                    continue
+                matched[i_new] = line_of_head[h]
+                used_heads.add(h)
+        new_heads = {}
+        for k in range(idx.size):
+            i = int(idx[k])
+            if i in matched:
+                line_id = matched[i]
+                lines[line_id].append(int(offsets[j] + k))
+            else:
+                line_id = len(lines)
+                lines.append([int(offsets[j] + k)])
+            new_heads[i] = line_id
+        line_of_head = new_heads
+    return time_idx, scale_idx, values, lines
+
+
+def _assert_matches_reference(c, min_amplitude_fraction=0.0):
+    m = modulus_maxima(c, min_amplitude_fraction)
+    time_idx, scale_idx, values, lines = _reference_maxima(
+        c, min_amplitude_fraction)
+    line_id = np.empty(time_idx.size, dtype=np.int64)
+    for li, pts in enumerate(lines):
+        line_id[pts] = li
+    assert np.array_equal(m.time_idx, time_idx)
+    assert np.array_equal(m.scale_idx, scale_idx)
+    assert np.array_equal(m.values, values)
+    assert np.array_equal(m.line_id, line_id)
+    assert len(m.lines) == len(lines)
+    for ln, pts in zip(m.lines, lines):
+        assert ln.point_indices.tolist() == pts
+        assert np.array_equal(ln.scale_idx, scale_idx[pts])
+        assert np.array_equal(ln.time_idx, time_idx[pts])
+        assert np.array_equal(ln.values, values[pts])
+    return m
+
+
+@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
+@pytest.mark.parametrize("n", [17, 300, 2000])
+def test_maxima_match_the_loop_reference_on_noise(w, n):
+    f = _noise(n, n)
+    c = cwt_fft(f, w, ScaleGrid.log_spaced(2.0 * f.dt, n * f.dt / 2.0, 8.0))
+    for fraction in (0.0, 0.3):
+        _assert_matches_reference(c, fraction)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_maxima_match_the_loop_reference_on_plateaus_and_ties(seed):
+    # small integer moduli: plateaus everywhere and many equal-distance
+    # candidate links; slowly growing scales keep the link tolerance tight
+    rng = np.random.default_rng(seed)
+    n_scales, n = 12, 64
+    rows = rng.integers(0, 4, size=(n_scales, n)).astype(np.float64)
+    c = CwtMatrix(coefficients=rows,
+                  scales=np.geomspace(1.0, 6.0, n_scales),
+                  times=np.arange(n, dtype=np.float64),
+                  cone_of_influence=np.zeros(n_scales, np.int64),
+                  dt=1.0, wavelet=MexicanHat())
+    for fraction in (0.0, 0.3, 1.0):
+        _assert_matches_reference(c, fraction)
+
+
+def test_maxima_tie_breaks_follow_offset_then_coarse_then_fine_index():
+    # scale 1: the maxima at 3 and 7 are both 2 samples from 5, and the
+    # lower fine index wins; scale 2: 3 and 7 are both 2 samples from 5,
+    # and the lower coarse index wins
+    c = _toy_matrix([[0, 0, 0, 1, 0, 0, 0, 1, 0, 0],
+                     [0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+                     [0, 0, 0, 1, 0, 0, 0, 1, 0, 0]])
+    m = _assert_matches_reference(c)
+    assert [ln.time_idx.tolist() for ln in m.lines] == [[3, 5, 3], [7], [7]]
+    assert m.line_id.tolist() == [0, 1, 0, 0, 2]
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1.0, 0.0, 2.0, 1.0]],                  # a single scale
+    [[0.0, 1.0], [1.0, 0.0]],                     # n = 2: no interior column
+    [[0.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 1.0]],  # n = 3
+])
+def test_maxima_match_the_loop_reference_on_tiny_matrices(rows):
+    _assert_matches_reference(_toy_matrix(rows))
+    _assert_matches_reference(_toy_matrix(rows), 0.6)
+
+
+def test_matrix_without_maxima_has_no_lines():
+    c = _toy_matrix([np.arange(8.0), np.zeros(8)])
+    m = _assert_matches_reference(c)
+    assert m.n_points == 0
+    assert m.lines == ()
+    assert m.line_id.size == 0

@@ -27,7 +27,7 @@ from .io import (RunManifest, estimate_to_dict, points_to_image,
                  write_pgm, write_points_csv, write_run_manifest,
                  write_scalogram_tsv, write_signal_csv)
 from .selfsim import (EstimationConfig, estimation_grid, fit_power_law,
-                      wavelet_autocovariance)
+                      require_estimable, wavelet_autocovariance)
 from .transform import ScaleGrid, cwt_fft, modulus_maxima, scalogram
 from .wavelets import by_name
 
@@ -244,9 +244,7 @@ def _cmd_analyze(args) -> None:
 
 def _cmd_estimate(args) -> None:
     f = read_signal_csv(args.input)
-    if f.n < 256:
-        raise InvalidSignalError(
-            f"estimate needs at least 256 samples, got {f.n}")
+    require_estimable(f)
     w = by_name(args.wavelet, omega0=args.omega0)
     g = _grid_for(args, f, estimation_grid)
     if g.n_scales < 4:

@@ -11,11 +11,23 @@ time column is formatted once), applied to a tuple of the block's values.
 "%.17g" formats a Python float and an np.float64 alike, so the bytes are
 those of formatting each value on its own; no file is built whole in
 memory.
+
+The signal and point readers parse a file in one np.loadtxt pass. A
+memory-mapped scan first checks that every '#' begins its line (after
+blanks): loadtxt would cut a line at any '#', while these formats allow
+comments only as whole lines. When the scan finds such a '#', or loadtxt
+refuses the file or finds a column count the format does not allow, one
+per-line loop parses the file again. That loop is the only source of
+error messages, which name file:line, and it also takes the rare forms
+float() accepts and loadtxt does not ("1_0", non-ASCII digits, blank
+lines holding whitespace). Both routes give the same float64 values.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -69,41 +81,17 @@ def read_signal_csv(path: str) -> TimeSeries:
     1e-9; value-only files get dt = 1. Malformed content raises
     InvalidSignalError naming the offending line.
     """
-    ts, vs = [], []
-    ncols = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if ncols is None:
-                ncols = len(parts)
-                if ncols not in (1, 2):
-                    raise InvalidSignalError(
-                        f"{path}:{lineno}: expected 1 or 2 columns, got {ncols}")
-            elif len(parts) != ncols:
-                raise InvalidSignalError(
-                    f"{path}:{lineno}: inconsistent column count")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise InvalidSignalError(
-                    f"{path}:{lineno}: not numeric: {line!r}") from None
-            if ncols == 2:
-                ts.append(row[0])
-                vs.append(row[1])
-            else:
-                vs.append(row[0])
-    if not vs:
+    table = _table(path, (1, 2), "expected 1 or 2 columns, got {}",
+                   "inconsistent column count")
+    if len(table) == 0:
         raise InvalidSignalError(f"{path}: no samples")
-    if len(vs) < 2:
+    if len(table) < 2:
         raise InvalidSignalError(f"{path}: need at least 2 samples")
+    samples = table[:, -1].copy()
+    if table.shape[1] == 1:
+        return TimeSeries(samples=samples, dt=1.0, t0=0.0)
 
-    if ncols == 1:
-        return TimeSeries(samples=np.asarray(vs), dt=1.0, t0=0.0)
-
-    t = np.asarray(ts)
+    t = table[:, 0]
     dt = (t[-1] - t[0]) / (len(t) - 1)
     if dt <= 0:
         raise InvalidSignalError(f"{path}: time column must increase")
@@ -113,7 +101,7 @@ def read_signal_csv(path: str) -> TimeSeries:
         raise InvalidSignalError(
             f"{path}: nonuniform spacing near data row {worst + 1} "
             f"(jitter {jitter[worst]:.3g} vs dt {dt:.6g})")
-    return TimeSeries(samples=np.asarray(vs), dt=float(dt), t0=float(t[0]))
+    return TimeSeries(samples=samples, dt=float(dt), t0=float(t[0]))
 
 
 # ----------------------------------------------------------- point clouds
@@ -128,24 +116,87 @@ def write_points_csv(path: str, points: np.ndarray) -> None:
 
 
 def read_points_csv(path: str) -> np.ndarray:
-    rows = []
+    """Parse an x,y point CSV into an (n, 2) array.
+
+    The grammar is the signal reader's, with exactly two columns.
+    """
+    table = _table(path, (2,), "expected x,y", "expected x,y")
+    if len(table) == 0:
+        raise InvalidSignalError(f"{path}: no points")
+    return table
+
+
+# ------------------------------------------------------------ CSV tables
+
+def _table(path: str, widths: tuple, bad_width: str,
+           inconsistent: str) -> np.ndarray:
+    """The numeric rows of a CSV as an (n, k) float64 array, k in widths.
+
+    bad_width ("{}" takes the count) names a first data row whose column
+    count is not in widths; inconsistent names a later row whose count
+    differs from the first's.
+    """
+    if _comments_are_whole_lines(path):
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments="#",
+                                   dtype=np.float64, ndmin=2)
+            except ValueError:
+                table = None
+        if table is not None and table.shape[1] in widths:
+            return table
+    return _rows(path, widths, bad_width, inconsistent)
+
+
+def _comments_are_whole_lines(path: str) -> bool:
+    """Whether every '#' in the file has only blanks before it on its line.
+
+    False as well for a file that cannot be mapped (empty, or not a
+    regular file), which leaves it to the per-line loop.
+    """
+    with open(path, "rb") as fh:
+        try:
+            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            return False
+    with mm:
+        lo, pos = 0, mm.find(b"#")
+        while pos >= 0:
+            # With no line break since the previous '#', this one sits on
+            # the same comment line and needs no check.
+            start = max(mm.rfind(b"\n", lo, pos), mm.rfind(b"\r", lo, pos)) + 1
+            if (start or not lo) and mm[start:pos].strip():
+                return False
+            lo, pos = pos + 1, mm.find(b"#", pos + 1)
+    return True
+
+
+def _rows(path: str, widths: tuple, bad_width: str,
+          inconsistent: str) -> np.ndarray:
+    """_table one line at a time; raises InvalidSignalError at file:line."""
+    rows, width = [], None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if len(parts) != 2:
-                raise InvalidSignalError(
-                    f"{path}:{lineno}: expected x,y")
+            if width is None:
+                width = len(parts)
+                if width not in widths:
+                    raise InvalidSignalError(
+                        f"{path}:{lineno}: " + bad_width.format(width))
+            elif len(parts) != width:
+                raise InvalidSignalError(f"{path}:{lineno}: {inconsistent}")
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                rows.append([float(p) for p in parts])
             except ValueError:
                 raise InvalidSignalError(
                     f"{path}:{lineno}: not numeric: {line!r}") from None
-    if not rows:
-        raise InvalidSignalError(f"{path}: no points")
-    return np.asarray(rows, dtype=np.float64)
+    return np.array(rows, dtype=np.float64).reshape(len(rows),
+                                                    width or widths[0])
 
 
 # ------------------------------------------------------------- TSV dumps
@@ -233,11 +284,15 @@ def points_to_image(points: np.ndarray, width: int, height: int,
         raise InvalidSignalError("points must be a nonempty (n, 2) array")
     if width < 1 or height < 1:
         raise InvalidSignalError("image dimensions must be positive")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidSignalError("points must be finite")
     if bbox is None:
         x_lo, x_hi = pts[:, 0].min(), pts[:, 0].max()
         y_lo, y_hi = pts[:, 1].min(), pts[:, 1].max()
     else:
         x_lo, x_hi, y_lo, y_hi = bbox
+        if not np.all(np.isfinite(bbox)):
+            raise InvalidSignalError(f"bbox must be finite, got {tuple(bbox)}")
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 

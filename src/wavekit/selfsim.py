@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateFitError, NoValidSamplesError,
-                     OutOfRangeError, TooFewScalesError)
+from .errors import (DegenerateFitError, InvalidSignalError,
+                     NoValidSamplesError, OutOfRangeError, TooFewScalesError)
 from .series import TimeSeries
 from .transform import CwtMatrix, ScaleGrid, cwt_fft
 
 # half-width of the H band still called brownian
 _BROWNIAN_DELTA = 0.05
+# shortest record a scaling fit is attempted on
+_MIN_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,19 @@ class HurstEstimate:
     scale_range: tuple
     n_scales_used: int
     warnings: tuple
+
+
+def require_estimable(f: TimeSeries) -> None:
+    """Refuse a record too short for a scaling fit (InvalidSignalError).
+
+    The default grid, [2 dt, n dt / 20] less one octave at each end,
+    holds fewer than the 4 scales a fit needs below about 210 samples;
+    the floor sits above that, and the command line and
+    hurst_from_series share it so that both refuse the same records.
+    """
+    if f.n < _MIN_SAMPLES:
+        raise InvalidSignalError(
+            f"estimate needs at least {_MIN_SAMPLES} samples, got {f.n}")
 
 
 def estimation_grid(f: TimeSeries, voices_per_octave: int = 8) -> ScaleGrid:
@@ -159,6 +174,7 @@ def hurst_from_series(f: TimeSeries, wavelet=None, grid: ScaleGrid | None = None
     """cwt_fft -> wavelet_autocovariance -> fit_power_law in one call."""
     from .wavelets import MexicanHat
 
+    require_estimable(f)
     w = wavelet if wavelet is not None else MexicanHat()
     g = grid or estimation_grid(f)
     if g.n_scales < 4:

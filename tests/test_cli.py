@@ -181,6 +181,16 @@ def test_estimate_refuses_short_signals(tmp_path, capsys):
     assert "at least 256 samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, code", [(255, 2), (256, 0)])
+def test_estimate_needs_256_samples(tmp_path, capsys, n, code):
+    fbm = str(tmp_path / "b.csv")
+    assert main(["gen", "fbm", "--hurst", "0.7", "--seed", "1",
+                 "--n", str(n), "--out", fbm]) == 0
+    assert main(["estimate", fbm, "--json", str(tmp_path / "e.json")]) == code
+    err = capsys.readouterr().err
+    assert ("estimate needs at least 256 samples, got 255" in err) == (n < 256)
+
+
 def test_scale_below_sampling_limit(tmp_path, capsys):
     sig = _gen_signal(tmp_path, n=512)  # dt about 0.002
     assert main(["analyze", sig, "--a-min", "0.0001"]) == 4
@@ -226,6 +236,21 @@ def test_rasterize_rejects_empty_point_files(tmp_path, capsys):
     assert main(["rasterize", str(pts),
                  "--out", str(tmp_path / "p.pgm")]) == 2
     assert "no points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, extra, message", [
+    ("0,0\nnan,1\n1,1\n", [], "points must be finite"),
+    ("0,0\n1,inf\n1,1\n", [], "points must be finite"),
+    ("0,0\n1,1\n", ["--bbox", "nan", "1", "0", "1"], "bbox must be finite"),
+])
+def test_rasterize_rejects_non_finite_input(tmp_path, capsys, body, extra,
+                                            message):
+    pts = tmp_path / "p.csv"
+    pts.write_text(body)
+    out = tmp_path / "p.pgm"
+    assert main(["rasterize", str(pts), "--out", str(out), *extra]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fbm_hurst_domain(tmp_path, capsys):

@@ -240,10 +240,31 @@ def test_density_image_clips_to_bbox():
 
 
 @pytest.mark.parametrize("pts", [np.empty((0, 2)), np.zeros((3, 3)),
-                                 np.zeros(4)])
+                                 np.zeros(4), np.array([[0.0, 0.0],
+                                                        [np.nan, 1.0]]),
+                                 np.array([[0.0, -np.inf], [1.0, 1.0]])])
 def test_density_image_rejects_bad_points(pts):
     with pytest.raises(InvalidSignalError):
         points_to_image(pts, 8, 8)
+
+
+@pytest.mark.parametrize("bbox", [(np.nan, 1.0, 0.0, 1.0),
+                                  (0.0, np.inf, 0.0, 1.0),
+                                  (0.0, 1.0, -np.inf, np.inf)])
+def test_density_image_rejects_non_finite_bbox(bbox):
+    with pytest.raises(InvalidSignalError, match="bbox must be finite"):
+        points_to_image(np.zeros((4, 2)), 8, 8, bbox=bbox)
+
+
+@pytest.mark.parametrize("bbox, digest", [
+    (None, "f762feca1cfd9f8c82b439b43ddc958f27577ec0f06ac02161f2165dee7ec566"),
+    ((-1.0, 1.0, 0.0, 2.0),
+     "98a150c254d7451162744d16e1b9f3e329e6c053d7131f4a7bb45f135599d355"),
+])
+def test_density_image_bytes_are_pinned(bbox, digest):
+    pts = chaos_game(barnsley_tree_model(), n=5000, seed=2).points
+    img = points_to_image(pts, 40, 60, bbox=bbox)
+    assert hashlib.sha256(img.tobytes()).hexdigest() == digest
 
 
 def test_density_image_rejects_bad_dims():
@@ -350,3 +371,222 @@ def test_scalogram_tsv_bytes_are_pinned(tmp_path):
                                           times=0.1 * i - 0.25))
     assert hashlib.sha256(p.read_bytes()).hexdigest() == \
         "a60f63f21b72a06681b7c642a1c0195361fd683a61a889cd69b43da524b34804"
+
+
+# ------------------------------------------- readers against the line loops
+
+def _old_read_signal_csv(path: str) -> TimeSeries:
+    """The per-line signal reader the bulk parse replaced: the reference."""
+    ts, vs = [], []
+    ncols = None
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if ncols is None:
+                ncols = len(parts)
+                if ncols not in (1, 2):
+                    raise InvalidSignalError(
+                        f"{path}:{lineno}: expected 1 or 2 columns, got {ncols}")
+            elif len(parts) != ncols:
+                raise InvalidSignalError(
+                    f"{path}:{lineno}: inconsistent column count")
+            try:
+                row = [float(p) for p in parts]
+            except ValueError:
+                raise InvalidSignalError(
+                    f"{path}:{lineno}: not numeric: {line!r}") from None
+            if ncols == 2:
+                ts.append(row[0])
+                vs.append(row[1])
+            else:
+                vs.append(row[0])
+    if not vs:
+        raise InvalidSignalError(f"{path}: no samples")
+    if len(vs) < 2:
+        raise InvalidSignalError(f"{path}: need at least 2 samples")
+
+    if ncols == 1:
+        return TimeSeries(samples=np.asarray(vs), dt=1.0, t0=0.0)
+
+    t = np.asarray(ts)
+    dt = (t[-1] - t[0]) / (len(t) - 1)
+    if dt <= 0:
+        raise InvalidSignalError(f"{path}: time column must increase")
+    jitter = np.abs(np.diff(t) - dt)
+    worst = int(np.argmax(jitter))
+    if jitter[worst] > 1e-9 * abs(dt):
+        raise InvalidSignalError(
+            f"{path}: nonuniform spacing near data row {worst + 1} "
+            f"(jitter {jitter[worst]:.3g} vs dt {dt:.6g})")
+    return TimeSeries(samples=np.asarray(vs), dt=float(dt), t0=float(t[0]))
+
+
+def _old_read_points_csv(path: str) -> np.ndarray:
+    """The per-line points reader the bulk parse replaced: the reference."""
+    rows = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise InvalidSignalError(
+                    f"{path}:{lineno}: expected x,y")
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise InvalidSignalError(
+                    f"{path}:{lineno}: not numeric: {line!r}") from None
+    if not rows:
+        raise InvalidSignalError(f"{path}: no points")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _outcome(read, path):
+    """What a reader returns, to the bit, or the type and text it raises."""
+    try:
+        got = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, TimeSeries):
+        assert got.samples.flags.c_contiguous and got.samples.flags.owndata
+        return got.samples.tobytes(), got.dt, got.t0
+    assert got.flags.c_contiguous
+    return got.shape, got.tobytes()
+
+
+def _assert_readers_agree(path):
+    assert _outcome(read_signal_csv, path) == \
+        _outcome(_old_read_signal_csv, path)
+    assert _outcome(read_points_csv, path) == \
+        _outcome(_old_read_points_csv, path)
+
+
+_CORPUS = {
+    "header": "# t,value\n0,1\n0.5,2\n1,3\n",
+    "inline-note": "0,1\n0.5,2 # note\n1,3\n",
+    "inline-note-values": "1\n2 # note\n3\n",
+    "inline-hash-only": "0,1#\n1,2\n",
+    "hashes-in-a-comment": "## title # more\n0,1\n1,2\n",
+    "indented-comment": "  # c\n\t# d\n0,1\n1,2\n",
+    "underscore": "0,1_0\n1,2\n",
+    "underscore-values": "1_0\n2\n",
+    "arabic-indic-digits": "١,2\n٢,3\n",
+    "fullwidth-digits": "０,1\n１,2\n",
+    "bom-header": "﻿# t,value\n0,1\n1,2\n",
+    "bom-number": "﻿0,1\n1,2\n",
+    "crlf": "# h\r\n0,1\r\n1,2\r\n",
+    "lone-cr": "# h\r0,1\r1,2\r",
+    "mixed-endings": "0,1\r\n1,2\r2,3\n",
+    "spaces-and-tabs": " 0 ,\t1 \n\t1,  2\t\n",
+    "nbsp": "\xa00,1\xa0\n1,2\n",
+    "whitespace-lines": "0,1\n   \n\t\n1,2\n",
+    "form-feed-line": "0,1\n\x0c\n1,2\n",
+    "file-separator": "0,1\x1c\n1,2\n",
+    "nul": "0,1\x00\n1,2\n",
+    "trailing-comma": "0,1,\n1,2,\n",
+    "empty-field": "0,\n1,2\n",
+    "only-commas": ",\n,\n",
+    "three-columns": "1,2,3\n4,5,6\n",
+    "three-columns-later": "0,1\n1,2,3\n",
+    "one-then-two": "1\n2,3\n",
+    "two-then-one": "0,1\n2\n",
+    "specials": "nan,inf\n1e400,1e-400\n-0,-nan\n",
+    "nan-value": "nan\n1\n",
+    "inf-value": "inf\n1\n",
+    "overflow": "1e400\n1\n",
+    "underflow": "0,1e-400\n1,-0\n",
+    "spellings": "Infinity,NaN\n-INF,+nan\n",
+    "nan-times": "nan,1\nnan,2\n",
+    "long-field": "0." + "0" * 200 + "1,1\n1,2\n",
+    "quoted": '"0",1\n1,2\n',
+    "hex": "0x1\n2\n",
+    "one-row": "0,1\n",
+    "one-value": "5\n",
+    "empty": "",
+    "only-comments": "# a\n# b\n",
+    "only-blanks": "\n  \n",
+    "nonuniform": "0,1\n0.1,2\n0.9,3\n1.0,4\n",
+    "decreasing": "1,1\n0,2\n",
+    "equal-times": "0,1\n0,2\n",
+    "not-numeric": "0,1\nabc,2\n",
+    "no-final-newline": "0,1\n1,2",
+}
+
+
+@pytest.mark.parametrize("text", list(_CORPUS.values()), ids=list(_CORPUS))
+def test_readers_match_the_line_loops_on_the_corpus(tmp_path, text):
+    p = tmp_path / "c.csv"
+    p.write_bytes(text.encode())
+    _assert_readers_agree(str(p))
+
+
+def test_readers_match_the_line_loops_on_undecodable_bytes(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_bytes(b"0,1\n1,2\xff\n")
+    _assert_readers_agree(str(p))
+
+
+_FUZZ_CHARS = "0123456789.e+-,#_naif \t\n\r"
+_FIELD = st.one_of(st.floats(width=64).map(repr), st.integers(-3, 3).map(str),
+                   st.text(_FUZZ_CHARS, max_size=6))
+_LINE = st.one_of(st.lists(_FIELD, min_size=1, max_size=3).map(",".join),
+                  st.text(_FUZZ_CHARS, max_size=10))
+
+
+@st.composite
+def _csv_texts(draw):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.text(_FUZZ_CHARS, max_size=60))
+    lines = draw(st.lists(_LINE, max_size=8))
+    if kind == 2:  # a time column that counts up, so signals can parse
+        lines = [f"{k},{line}" for k, line in enumerate(lines)]
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+def test_readers_match_the_line_loops_on_fuzzed_text(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("fuzz") / "f.csv"
+    p.write_bytes(text.encode())
+    _assert_readers_agree(str(p))
+
+
+def test_readers_round_trip_seventeen_digits_at_64k(tmp_path):
+    n = 65536
+    values = _special_values(3 * n, 9)
+    samples = values[np.isfinite(values)][:n]
+    sig = str(tmp_path / "sig.csv")
+    write_signal_csv(sig, TimeSeries(samples=samples, dt=0.1, t0=-2.5))
+    assert np.array_equal(read_signal_csv(sig).samples, samples)
+    pts = values[:2 * n].reshape(n, 2)
+    cloud = str(tmp_path / "pts.csv")
+    write_points_csv(cloud, pts)
+    assert read_points_csv(cloud).tobytes() == pts.tobytes()
+    for path in (sig, cloud):
+        _assert_readers_agree(path)
+
+
+def test_clean_files_skip_the_line_loop(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("line loop called")
+
+    sig, cloud = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
+    write_signal_csv(sig, gen_chirp_jump(300))
+    write_points_csv(cloud, chaos_game(barnsley_tree_model(), n=300,
+                                       seed=1).points)
+    hashes = tmp_path / "hashes.csv"
+    hashes.write_text("## title # more\n# x,y\n0,1\n1,2 \n## end\n")
+    monkeypatch.setattr(wavekit.io, "_rows", refuse)
+    assert read_signal_csv(sig).n == 300
+    assert read_points_csv(cloud).shape == (300, 2)
+    assert read_points_csv(str(hashes)).shape == (2, 2)
+    p = tmp_path / "note.csv"
+    p.write_text("0,1\n1,2 # note\n")
+    with pytest.raises(AssertionError, match="line loop called"):
+        read_signal_csv(str(p))

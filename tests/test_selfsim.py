@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from wavekit import (DegenerateFitError, EstimationConfig, MexicanHat,
-                     NoValidSamplesError, OutOfRangeError, ScaleGrid,
-                     TimeSeries, TooFewScalesError, WaveletAutoCovariance,
+from wavekit import (DegenerateFitError, EstimationConfig,
+                     InvalidSignalError, MexicanHat, NoValidSamplesError,
+                     OutOfRangeError, ScaleGrid, TimeSeries,
+                     TooFewScalesError, WaveletAutoCovariance,
                      classify_hurst, cwt_fft, estimation_grid,
                      exponent_relations, fit_power_law, gen_fbm,
                      hurst_from_series, wavelet_autocovariance)
@@ -169,3 +170,15 @@ def test_hurst_from_series_needs_enough_scales():
     g = ScaleGrid.with_count(2.0 * f.dt, 4.0 * f.dt, 3)
     with pytest.raises(TooFewScalesError):
         hurst_from_series(f, grid=g)
+
+
+@pytest.mark.parametrize("n", [200, 255])
+def test_hurst_from_series_refuses_short_records(n):
+    with pytest.raises(InvalidSignalError,
+                       match=f"estimate needs at least 256 samples, got {n}"):
+        hurst_from_series(gen_fbm(hurst=0.7, n=n, seed=1))
+
+
+def test_hurst_from_series_fits_256_samples():
+    est = hurst_from_series(gen_fbm(hurst=0.7, n=256, seed=1))
+    assert est.n_scales_used >= 4

@@ -20,7 +20,8 @@ from .detect import (DetectionConfig, SingularityEvent, SingularityReport,
                      estimate_cusp_exponent)
 from .selfsim import (EstimationConfig, HurstEstimate, WaveletAutoCovariance,
                       classify_hurst, estimation_grid, exponent_relations,
-                      fit_power_law, hurst_from_series, wavelet_autocovariance)
+                      fit_power_law, hurst_from_series, wavelet_autocovariance,
+                      wavelet_variance)
 
 __all__ = [
     "__version__",
@@ -38,6 +39,7 @@ __all__ = [
     "DetectionConfig", "SingularityEvent", "SingularityReport",
     "detect_singularities", "detect_from_maxima", "estimate_cusp_exponent",
     "EstimationConfig", "WaveletAutoCovariance", "HurstEstimate",
-    "estimation_grid", "wavelet_autocovariance", "fit_power_law",
+    "estimation_grid", "wavelet_autocovariance", "wavelet_variance",
+    "fit_power_law",
     "hurst_from_series", "exponent_relations", "classify_hurst",
 ]

@@ -27,7 +27,7 @@ from .io import (RunManifest, estimate_to_dict, points_to_image,
                  write_pgm, write_points_csv, write_run_manifest,
                  write_scalogram_tsv, write_signal_csv)
 from .selfsim import (EstimationConfig, estimation_grid, fit_power_law,
-                      require_estimable, wavelet_autocovariance)
+                      require_estimable, require_fit_grid, wavelet_variance)
 from .transform import ScaleGrid, cwt_fft, modulus_maxima, scalogram
 from .wavelets import by_name
 
@@ -247,10 +247,9 @@ def _cmd_estimate(args) -> None:
     require_estimable(f)
     w = by_name(args.wavelet, omega0=args.omega0)
     g = _grid_for(args, f, estimation_grid)
-    if g.n_scales < 4:
-        raise TooFewScalesError(f"{g.n_scales} scales cannot support a fit")
+    require_fit_grid(g)
     cfg = EstimationConfig()
-    r = wavelet_autocovariance(cwt_fft(f, w, g), cfg)
+    r = wavelet_variance(f, w, g, cfg)
     est = fit_power_law(r, cfg)
 
     write_json(args.json, estimate_to_dict(est))

@@ -92,6 +92,10 @@ def read_signal_csv(path: str) -> TimeSeries:
         return TimeSeries(samples=samples, dt=1.0, t0=0.0)
 
     t = table[:, 0]
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise InvalidSignalError(
+            f"{path}: time in data row {bad[0] + 1} is not finite")
     dt = (t[-1] - t[0]) / (len(t) - 1)
     if dt <= 0:
         raise InvalidSignalError(f"{path}: time column must increase")
@@ -287,14 +291,18 @@ def points_to_image(points: np.ndarray, width: int, height: int,
     if not np.all(np.isfinite(pts)):
         raise InvalidSignalError("points must be finite")
     if bbox is None:
-        x_lo, x_hi = pts[:, 0].min(), pts[:, 0].max()
-        y_lo, y_hi = pts[:, 1].min(), pts[:, 1].max()
-    else:
-        x_lo, x_hi, y_lo, y_hi = bbox
-        if not np.all(np.isfinite(bbox)):
-            raise InvalidSignalError(f"bbox must be finite, got {tuple(bbox)}")
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
+        bbox = (pts[:, 0].min(), pts[:, 0].max(),
+                pts[:, 1].min(), pts[:, 1].max())
+    elif not np.all(np.isfinite(bbox)):
+        raise InvalidSignalError(f"bbox must be finite, got {tuple(bbox)}")
+    # Python floats: a span past float64's range becomes inf without a warning
+    x_lo, x_hi, y_lo, y_hi = (float(v) for v in bbox)
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    if not (np.isfinite(x_span) and np.isfinite(y_span)):
+        raise InvalidSignalError(
+            f"bbox {(x_lo, x_hi, y_lo, y_hi)} spans more than float64 holds")
+    x_span = x_span or 1.0
+    y_span = y_span or 1.0
 
     ix = np.clip(((pts[:, 0] - x_lo) / x_span * width).astype(np.int64),
                  0, width - 1)

@@ -15,7 +15,9 @@ import numpy as np
 from .errors import (DegenerateFitError, InvalidSignalError,
                      NoValidSamplesError, OutOfRangeError, TooFewScalesError)
 from .series import TimeSeries
-from .transform import CwtMatrix, ScaleGrid, cwt_fft
+from .transform import (CwtMatrix, ScaleGrid, _check_grid, _cone,
+                        _fft_rows)
+from .wavelets import MexicanHat, Wavelet
 
 # half-width of the H band still called brownian
 _BROWNIAN_DELTA = 0.05
@@ -25,7 +27,7 @@ _MIN_SAMPLES = 256
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Controls for wavelet_autocovariance and fit_power_law.
+    """Controls for wavelet_autocovariance, wavelet_variance and fit_power_law.
 
     exclude_cone   drop coefficients inside the cone of influence before
                    averaging (recommended; boundary response biases the
@@ -86,29 +88,68 @@ def estimation_grid(f: TimeSeries, voices_per_octave: int = 8) -> ScaleGrid:
                                 voices_per_octave)
 
 
+def require_fit_grid(g: ScaleGrid) -> None:
+    """Refuse a grid with fewer than the 4 scales a fit needs
+    (TooFewScalesError); shared like require_estimable."""
+    if g.n_scales < 4:
+        raise TooFewScalesError(f"{g.n_scales} scales cannot support a fit")
+
+
+def _row_reducer(scales: np.ndarray, cone: np.ndarray, n: int,
+                 cfg: EstimationConfig):
+    """(values, counts, add) for rows of n coefficients, one per scale.
+
+    add(j, row) stores the mean |W|^2 of row j over the columns cfg keeps,
+    in any order and from any thread. The first scale that keeps no column
+    raises NoValidSamplesError here, before any row arrives.
+    """
+    ranges = []
+    for a, k in zip(scales, cone.tolist()):
+        lo, hi = (k, n - k) if cfg.exclude_cone else (0, n)
+        if lo >= hi:
+            raise NoValidSamplesError(
+                f"scale {a:.6g} leaves no samples outside the cone "
+                f"of influence; shrink the grid ceiling")
+        ranges.append((lo, hi))
+    values = np.empty(scales.size)
+    counts = np.array([hi - lo for lo, hi in ranges], dtype=np.int64)
+
+    def add(j, row):
+        lo, hi = ranges[j]
+        values[j] = np.mean(np.abs(row[lo:hi]) ** 2)
+
+    return values, counts, add
+
+
 def wavelet_autocovariance(c: CwtMatrix,
                            config: EstimationConfig | None = None) -> WaveletAutoCovariance:
     """Average |W(a, b)|^2 over b at each scale."""
-    cfg = config or EstimationConfig()
     n = len(c.times)
-    values = np.empty(c.scales.size)
-    counts = np.empty(c.scales.size, dtype=np.int64)
-    for j in range(c.scales.size):
-        if cfg.exclude_cone:
-            cone = int(c.cone_of_influence[j])
-            row = c.coefficients[j, cone:n - cone] if cone < n - cone else \
-                c.coefficients[j, 0:0]
-        else:
-            row = c.coefficients[j]
-        if row.size == 0:
-            raise NoValidSamplesError(
-                f"scale {c.scales[j]:.6g} leaves no samples outside the cone "
-                f"of influence; shrink the grid ceiling")
-        values[j] = np.mean(np.abs(row) ** 2)
-        counts[j] = row.size
+    values, counts, add = _row_reducer(c.scales, c.cone_of_influence, n,
+                                       config or EstimationConfig())
+    for j, row in enumerate(c.coefficients):
+        add(j, row)
     return WaveletAutoCovariance(scales=c.scales.copy(), values=values,
                                  counts=counts, wavelet=c.wavelet.name,
                                  n_samples=n, dt=c.dt)
+
+
+def wavelet_variance(f: TimeSeries, wavelet: Wavelet, grid: ScaleGrid,
+                     config: EstimationConfig | None = None) -> WaveletAutoCovariance:
+    """wavelet_autocovariance(cwt_fft(f, wavelet, grid), config), streamed.
+
+    Each cwt_fft row is reduced as it is computed and then dropped, so the
+    scale x time matrix is never held. The result is the same to the bit;
+    a too-fine grid (ScaleTooFineError) and then a scale the cone swallows
+    (NoValidSamplesError) are refused before any FFT runs.
+    """
+    _check_grid(f, grid)
+    values, counts, add = _row_reducer(grid.scales, _cone(f, wavelet, grid),
+                                       f.n, config or EstimationConfig())
+    _fft_rows(f, wavelet, grid, add)
+    return WaveletAutoCovariance(scales=grid.scales.copy(), values=values,
+                                 counts=counts, wavelet=wavelet.name,
+                                 n_samples=f.n, dt=f.dt)
 
 
 def classify_hurst(hurst: float) -> str:
@@ -171,16 +212,12 @@ def fit_power_law(r: WaveletAutoCovariance,
 
 def hurst_from_series(f: TimeSeries, wavelet=None, grid: ScaleGrid | None = None,
                       config: EstimationConfig | None = None) -> HurstEstimate:
-    """cwt_fft -> wavelet_autocovariance -> fit_power_law in one call."""
-    from .wavelets import MexicanHat
-
+    """wavelet_variance -> fit_power_law in one call."""
     require_estimable(f)
     w = wavelet if wavelet is not None else MexicanHat()
     g = grid or estimation_grid(f)
-    if g.n_scales < 4:
-        raise TooFewScalesError(f"{g.n_scales} scales cannot support a fit")
-    c = cwt_fft(f, w, g)
-    return fit_power_law(wavelet_autocovariance(c, config), config)
+    require_fit_grid(g)
+    return fit_power_law(wavelet_variance(f, w, g, config), config)
 
 
 def exponent_relations(hurst: float) -> tuple:

@@ -16,11 +16,16 @@ the clipped terms multiply nothing. cwt_fft convolves circularly over L
 points, L the smallest 2^i 3^j 5^k >= n + max(m_hi, -m_lo). The n outputs
 it keeps are the linear-convolution entries m_hi .. m_hi + n - 1, and at
 that length no other entry wraps onto them, so the circular result is the
-linear one.
+linear one. Its rows run on a thread pool with one worker per CPU the
+process may use, fed in scale order; numpy's FFT releases the GIL, and
+each row gets the same bits as in a one-thread loop.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +224,56 @@ def cwt_direct(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
                      cone_of_influence=_cone(f, w, g), dt=f.dt, wavelet=w)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit) -> None:
+    """Compute every cwt_fft row and hand it to emit(j, row), scale j.
+
+    The calling thread samples each kernel and each new signal spectrum in
+    scale order; a pool of one worker per usable CPU (at most one per
+    scale) runs the kernel FFT, the product, the inverse FFT and the
+    scaling, then calls emit from the worker with the row, which emit may
+    keep. At most one row per worker is in flight, and an exception in a
+    row is raised here once the pool has stopped. The row bits do not
+    depend on the worker count: each row runs the same numpy calls on the
+    same inputs as a serial loop would.
+    """
+    _check_grid(f, g)
+    x = f.samples
+    n = f.n
+    fft, ifft = (np.fft.fft, np.fft.ifft) if w.is_complex else \
+        (np.fft.rfft, np.fft.irfft)
+
+    def row(j, c, m_hi, size, x_spec):
+        # keep the product one expression over the fresh kernel spectrum:
+        # numpy then multiplies in place into that temporary, operands
+        # swapped, and the operand order sets the last bit of each product
+        r = ifft(x_spec * fft(c[::-1], size), size)[m_hi:m_hi + n]
+        emit(j, np.multiply(r, f.dt / np.sqrt(g.scales[j]), out=r))
+
+    workers = min(_cpu_count(), g.n_scales)
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        size, x_spec = 0, None
+        for j, a in enumerate(g.scales):
+            c, m_lo, m_hi = _kernel(w, a, f.dt, n)
+            length = _smooth_length(n + max(m_hi, -m_lo))
+            if length != size:
+                size = length
+                x_spec = fft(x, size)
+            if len(pending) == workers:
+                pending.popleft().result()
+            pending.append(pool.submit(row, j, c, m_hi, size, x_spec))
+        for job in pending:
+            job.result()
+
+
 def cwt_fft(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
     """FFT-accelerated CWT, identical contract to cwt_direct.
 
@@ -230,24 +285,12 @@ def cwt_fft(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
     indices 0 .. n + m_hi - m_lo - 1, and at this L the entries that wrap
     around land outside the kept slice m_hi .. m_hi + n - 1. L never shrinks
     as the scales grow, so the signal spectrum is recomputed only when L
-    changes.
+    changes. The rows run on a pool with one worker per usable CPU, fed in
+    scale order; every coefficient has the same bits as in a serial loop.
     """
-    _check_grid(f, g)
-    x = f.samples
-    n = f.n
     dtype = np.complex128 if w.is_complex else np.float64
-    fft, ifft = (np.fft.fft, np.fft.ifft) if w.is_complex else \
-        (np.fft.rfft, np.fft.irfft)
-    out = np.empty((g.n_scales, n), dtype=dtype)
-    size, x_spec = 0, None
-    for j, a in enumerate(g.scales):
-        c, m_lo, m_hi = _kernel(w, a, f.dt, n)
-        length = _smooth_length(n + max(m_hi, -m_lo))
-        if length != size:
-            size = length
-            x_spec = fft(x, size)
-        row = ifft(x_spec * fft(c[::-1], size), size)
-        out[j] = row[m_hi:m_hi + n] * (f.dt / np.sqrt(a))
+    out = np.empty((g.n_scales, f.n), dtype=dtype)
+    _fft_rows(f, w, g, out.__setitem__)
     return CwtMatrix(coefficients=out, scales=g.scales.copy(), times=f.time_axis(),
                      cone_of_influence=_cone(f, w, g), dt=f.dt, wavelet=w)
 

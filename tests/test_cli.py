@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,27 @@ def test_rasterize_rejects_non_finite_input(tmp_path, capsys, body, extra,
     out = tmp_path / "p.pgm"
     assert main(["rasterize", str(pts), "--out", str(out), *extra]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_time_is_invalid_input(tmp_path, capsys):
+    p = tmp_path / "t.csv"
+    p.write_text("0,1\n1,2\ninf,3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(p)]) == 2
+    assert "t.csv: time in data row 3 is not finite" in \
+        capsys.readouterr().err
+
+
+def test_rasterize_rejects_extents_past_float64(tmp_path, capsys):
+    pts = tmp_path / "p.csv"
+    pts.write_text("-1e308,0\n1e308,1\n")
+    out = tmp_path / "p.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rasterize", str(pts), "--out", str(out)]) == 2
+    assert "spans more than float64 holds" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ def test_signal_csv_rejects_malformed_input(tmp_path, body, message):
     p.write_text(body)
     with pytest.raises(InvalidSignalError, match=message):
         read_signal_csv(str(p))
+
+
+@pytest.mark.parametrize("body, row", [
+    ("0,1\n1,2\ninf,3\n", 3),
+    ("-inf,1\n1,2\n2,3\n", 1),
+    ("# t,value\n0,1\nnan,2\n2,3\n", 2),
+])
+def test_signal_csv_names_the_first_non_finite_time(tmp_path, body, row):
+    p = tmp_path / "t.csv"
+    p.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSignalError,
+                           match=f"t.csv: time in data row {row} is not "
+                                 f"finite"):
+            read_signal_csv(str(p))
 
 
 def test_parse_errors_name_the_file_and_line(tmp_path):
@@ -256,6 +273,20 @@ def test_density_image_rejects_non_finite_bbox(bbox):
         points_to_image(np.zeros((4, 2)), 8, 8, bbox=bbox)
 
 
+@pytest.mark.parametrize("pts, bbox", [
+    ([[-1e308, 0.0], [1e308, 1.0]], None),
+    ([[0.0, -1e308], [1.0, 1e308]], None),
+    ([[0.0, 0.0], [1.0, 1.0]], (-1e308, 1e308, 0.0, 1.0)),
+    ([[0.0, 0.0], [1.0, 1.0]], (0.0, 1.0, 1e308, -1e308)),
+])
+def test_density_image_rejects_extents_past_float64(pts, bbox):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSignalError,
+                           match=r"spans more than float64 holds"):
+            points_to_image(np.array(pts), 8, 8, bbox=bbox)
+
+
 @pytest.mark.parametrize("bbox, digest", [
     (None, "f762feca1cfd9f8c82b439b43ddc958f27577ec0f06ac02161f2165dee7ec566"),
     ((-1.0, 1.0, 0.0, 2.0),
@@ -412,6 +443,11 @@ def _old_read_signal_csv(path: str) -> TimeSeries:
         return TimeSeries(samples=np.asarray(vs), dt=1.0, t0=0.0)
 
     t = np.asarray(ts)
+    # the finite-time check came after the line loops; it runs on the table
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise InvalidSignalError(
+            f"{path}: time in data row {bad[0] + 1} is not finite")
     dt = (t[-1] - t[0]) / (len(t) - 1)
     if dt <= 0:
         raise InvalidSignalError(f"{path}: time column must increase")

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from wavekit import (DegenerateFitError, EstimationConfig,
-                     InvalidSignalError, MexicanHat, NoValidSamplesError,
-                     OutOfRangeError, ScaleGrid, TimeSeries,
-                     TooFewScalesError, WaveletAutoCovariance,
-                     classify_hurst, cwt_fft, estimation_grid,
-                     exponent_relations, fit_power_law, gen_fbm,
-                     hurst_from_series, wavelet_autocovariance)
+from wavekit import (DegenerateFitError, EstimationConfig, Haar,
+                     InvalidSignalError, MexicanHat, Morlet,
+                     NoValidSamplesError, OutOfRangeError, ScaleGrid,
+                     ScaleTooFineError, TimeSeries, TooFewScalesError,
+                     WaveletAutoCovariance, classify_hurst, cwt_fft,
+                     estimation_grid, exponent_relations, fit_power_law,
+                     gen_fbm, hurst_from_series, selfsim, support_radius,
+                     transform, wavelet_autocovariance, wavelet_variance)
+from wavekit.selfsim import require_fit_grid
 
 MEXHAT = MexicanHat()
 
@@ -62,6 +64,58 @@ def test_cone_swallowing_every_sample_is_an_error():
     c = cwt_fft(f, MEXHAT, g)
     with pytest.raises(NoValidSamplesError):
         wavelet_autocovariance(c)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("exclude_cone", [True, False])
+@pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
+                         ids=lambda w: w.name)
+def test_streamed_variance_is_the_matrix_variance(monkeypatch, w,
+                                                  exclude_cone, cpus):
+    monkeypatch.setattr(transform, "_cpu_count", lambda: cpus)
+    f = gen_fbm(hurst=0.6, n=3000, seed=2)
+    g = estimation_grid(f)
+    cfg = EstimationConfig(exclude_cone=exclude_cone)
+    want = wavelet_autocovariance(cwt_fft(f, w, g), cfg)
+    got = wavelet_variance(f, w, g, cfg)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.counts, want.counts)
+    assert got.counts.dtype == want.counts.dtype
+    assert np.array_equal(got.scales, want.scales)
+    assert (got.wavelet, got.n_samples, got.dt) == \
+        (want.wavelet, want.n_samples, want.dt)
+
+
+def test_streamed_variance_refuses_before_any_fft(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("rows were computed")
+
+    monkeypatch.setattr(selfsim, "_fft_rows", no_rows)
+    f = TimeSeries(samples=np.random.default_rng(3).standard_normal(256),
+                   dt=1.0)
+    swallowed = ScaleGrid.with_count(2.0, 128.0, 8)
+    with pytest.raises(NoValidSamplesError) as streamed:
+        wavelet_variance(f, MEXHAT, swallowed)
+    with pytest.raises(NoValidSamplesError) as matrix:
+        wavelet_autocovariance(cwt_fft(f, MEXHAT, swallowed))
+    assert str(streamed.value) == str(matrix.value)
+    cone = np.ceil(support_radius(MEXHAT) * swallowed.scales / f.dt)
+    first = swallowed.scales[np.argmax(2 * cone >= f.n)]
+    assert str(streamed.value).startswith(f"scale {first:.6g} leaves")
+
+    too_fine_too = ScaleGrid.with_count(1.0, 128.0, 8)
+    for run in (lambda: wavelet_variance(f, MEXHAT, too_fine_too),
+                lambda: wavelet_autocovariance(cwt_fft(f, MEXHAT,
+                                                       too_fine_too))):
+        with pytest.raises(ScaleTooFineError, match="below 2\\*dt"):
+            run()
+
+
+def test_fit_grid_needs_four_scales():
+    require_fit_grid(ScaleGrid.with_count(2.0, 16.0, 4))
+    with pytest.raises(TooFewScalesError,
+                       match="3 scales cannot support a fit"):
+        require_fit_grid(ScaleGrid.with_count(2.0, 16.0, 3))
 
 
 # --------------------------------------------------------- power-law fit

@@ -2,6 +2,9 @@
 adaptive quadrature of the defining integral, plus grid, cone, scalogram and
 modulus-maxima behaviour."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,8 @@ from scipy.integrate import quad
 from wavekit import (CwtMatrix, Haar, MexicanHat, Morlet, ScaleGrid,
                      ScaleTooFineError, TimeSeries, cwt_direct, cwt_fft,
                      modulus_maxima, scalogram, support_radius)
-from wavekit.transform import _smooth_length
+from wavekit import transform
+from wavekit.transform import _check_grid, _fft_rows, _kernel, _smooth_length
 
 WAVELETS = [MexicanHat(), Morlet(), Haar()]
 
@@ -71,6 +75,163 @@ def test_transform_refuses_subsample_scales():
         cwt_fft(f, MexicanHat(), g)
     with pytest.raises(ScaleTooFineError):
         cwt_direct(f, MexicanHat(), g)
+
+
+# ------------------------------------------------------ rows on a pool
+
+def _serial_cwt_fft(f, w, g):
+    """The one-thread cwt_fft loop, kept as the bit reference for the pool."""
+    _check_grid(f, g)
+    x = f.samples
+    n = f.n
+    dtype = np.complex128 if w.is_complex else np.float64
+    fft, ifft = (np.fft.fft, np.fft.ifft) if w.is_complex else \
+        (np.fft.rfft, np.fft.irfft)
+    out = np.empty((g.n_scales, n), dtype=dtype)
+    size, x_spec = 0, None
+    for j, a in enumerate(g.scales):
+        c, m_lo, m_hi = _kernel(w, a, f.dt, n)
+        length = _smooth_length(n + max(m_hi, -m_lo))
+        if length != size:
+            size = length
+            x_spec = fft(x, size)
+        row = ifft(x_spec * fft(c[::-1], size), size)
+        out[j] = row[m_hi:m_hi + n] * (f.dt / np.sqrt(a))
+    return out
+
+
+def _padded_length(f, w, a):
+    _, m_lo, m_hi = _kernel(w, a, f.dt, f.n)
+    return _smooth_length(f.n + max(m_hi, -m_lo))
+
+
+def _new_length_at_every_scale(f, w):
+    """A grid whose padded FFT length changes from each scale to the next."""
+    scales, last = [], 0
+    for a in np.geomspace(2.0 * f.dt, f.n * f.dt, 2000):
+        length = _padded_length(f, w, a)
+        if length != last:
+            scales.append(a)
+            last = length
+    return ScaleGrid(scales=np.array(scales), voices_per_octave=1.0)
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """Records its size and the most rows it ever ran at once."""
+
+    made = []
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.workers, self.running, self.peak = workers, 0, 0
+        self._lock = threading.Lock()
+        _CountingPool.made.append(self)
+
+    def submit(self, fn, *args):
+        with self._lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+
+        def run():
+            try:
+                return fn(*args)
+            finally:
+                with self._lock:
+                    self.running -= 1
+
+        return super().submit(run)
+
+
+@pytest.fixture(params=[1, 2, 3, 7], ids=lambda k: f"cpus{k}")
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(transform, "_cpu_count", lambda: request.param)
+    monkeypatch.setattr(transform, "ThreadPoolExecutor", _CountingPool)
+    _CountingPool.made.clear()
+    return request.param
+
+
+def _assert_pool_bounds(cpus, n_scales):
+    (pool,) = _CountingPool.made
+    assert pool.workers == min(cpus, n_scales)
+    assert 1 <= pool.peak <= pool.workers
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 300, 2000])
+@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
+def test_pooled_rows_are_the_serial_bits(w, n, cpus):
+    f = _noise(n, n)
+    g = ScaleGrid.log_spaced(2.0 * f.dt, n * f.dt, 8.0)
+    got = cwt_fft(f, w, g).coefficients
+    assert np.array_equal(got, _serial_cwt_fft(f, w, g))
+    _assert_pool_bounds(cpus, g.n_scales)
+
+
+@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
+def test_pooled_rows_are_the_serial_bits_on_long_spectra(w, cpus):
+    """Spectra of 256 KiB and more, which numpy multiplies in place."""
+    f = _noise(40000, 6)
+    g = ScaleGrid.log_spaced(2.0 * f.dt, 16.0 * f.dt, 2.0)
+    assert np.array_equal(cwt_fft(f, w, g).coefficients,
+                          _serial_cwt_fft(f, w, g))
+    _assert_pool_bounds(cpus, g.n_scales)
+
+
+@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
+def test_pooled_rows_match_when_the_fft_length_changes_every_scale(w, cpus):
+    f = _noise(300, 5)
+    g = _new_length_at_every_scale(f, w)
+    lengths = [_padded_length(f, w, a) for a in g.scales]
+    assert g.n_scales >= 10 and len(set(lengths)) == g.n_scales
+    assert np.array_equal(cwt_fft(f, w, g).coefficients,
+                          _serial_cwt_fft(f, w, g))
+    _assert_pool_bounds(cpus, g.n_scales)
+
+
+class _TracedHat(MexicanHat):
+    """A Mexican hat that records which threads sample it."""
+
+    def __init__(self, threads, fail_at=None):
+        object.__setattr__(self, "threads", threads)
+        object.__setattr__(self, "fail_at", fail_at)
+
+    def psi(self, t):
+        self.threads.add(threading.get_ident())
+        if self.fail_at is not None and np.size(t) >= self.fail_at:
+            raise RuntimeError("kernel failed")
+        return super().psi(t)
+
+
+def test_kernels_are_sampled_in_the_calling_thread(cpus):
+    threads, emitted = set(), []
+    f = _noise(2000, 3)
+    g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
+    _fft_rows(f, _TracedHat(threads), g,
+              lambda j, row: emitted.append(threading.get_ident()))
+    assert threads == {threading.get_ident()}
+    assert len(emitted) == g.n_scales
+
+
+def _fail_in_row(bad):
+    def emit(j, row):
+        if j == bad:
+            raise RuntimeError(f"row {bad} failed")
+    return emit
+
+
+@pytest.mark.parametrize("where", ["first row", "last row", "kernel"])
+def test_failures_reach_the_caller_and_stop_the_pool(cpus, where):
+    before = set(threading.enumerate())
+    f = _noise(2000, 4)
+    g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
+    bad = 0 if where == "first row" else g.n_scales - 1
+    w, emit, message = MexicanHat(), _fail_in_row(bad), f"row {bad} failed"
+    if where == "kernel":
+        w, emit, message = _TracedHat(set(), fail_at=100), \
+            lambda j, row: None, "kernel failed"
+    with pytest.raises(RuntimeError, match=message):
+        _fft_rows(f, w, g, emit)
+    assert not [t for t in threading.enumerate()
+                if t not in before and t.is_alive()]
 
 
 # ------------------------------------------------- agreement and the oracle

@@ -28,7 +28,8 @@ from .io import (RunManifest, estimate_to_dict, points_to_image,
                  write_scalogram_tsv, write_signal_csv)
 from .selfsim import (EstimationConfig, estimation_grid, fit_power_law,
                       require_estimable, require_fit_grid, wavelet_variance)
-from .transform import ScaleGrid, cwt_fft, modulus_maxima, scalogram
+from .transform import (ScaleGrid, cwt_fft, cwt_maxima, modulus_maxima,
+                        scalogram)
 from .wavelets import by_name
 
 _BAD_INPUT = (InvalidSignalError, InvalidModelError, InvalidHurstError,
@@ -214,9 +215,13 @@ def _cmd_analyze(args) -> None:
     cfg = DetectionConfig(threshold_multiplier=args.threshold,
                           persistence_octaves=args.persistence,
                           max_alpha=args.max_alpha)
-    c = cwt_fft(f, w, g)
-    maxima = modulus_maxima(c, cfg.min_amplitude_fraction)
-    report = detect_from_maxima(c, maxima, cfg)
+    # the scale x time matrix is held only when it is to be written
+    if args.scalogram:
+        c = cwt_fft(f, w, g)
+        maxima = modulus_maxima(c, cfg.min_amplitude_fraction)
+    else:
+        maxima = cwt_maxima(f, w, g, cfg.min_amplitude_fraction)
+    report = detect_from_maxima(maxima, cfg)
 
     outputs = []
     if args.report:

@@ -8,20 +8,25 @@ mean a jump, slopes below one a cusp. Lines that come up steeper than any
 singularity allows right where they clear the noise belong to smooth
 oscillations, and lines with no decay at all are noise ridges; both are
 discarded rather than reported.
+
+The detector reads only a MaximaSet: each line is a slice of flat,
+line-sorted copies of the maxima arrays, and the noise level comes from
+the finest row the set carries. It never needs the scale x time matrix,
+so detect_singularities, fed by cwt_maxima, holds O(n) memory plus the
+maxima.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from math import ceil, log2
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LineTooShortError, TooFewScalesError
 from .series import TimeSeries
-from .transform import (CwtMatrix, MaximaLine, MaximaSet, ScaleGrid, cwt_fft,
-                        modulus_maxima)
+from .transform import MaximaSet, ScaleGrid, cwt_maxima
 
 # relative dust floor: ignores maxima born purely of float roundoff
 _DUST = 1e-10
@@ -81,50 +86,55 @@ class SingularityReport:
     config: DetectionConfig = field(default_factory=DetectionConfig)
 
 
-def _trusted(c: CwtMatrix, line: MaximaLine):
-    """Scales of the line's points and the mask of those a fit may read.
+class _Lines(NamedTuple):
+    """Every line's points back to back, each line fine to coarse.
+
+    Line k is the slice offsets[k]:offsets[k + 1] of each array; a holds
+    the scale of each point, and trusted flags the points a fit may read.
+    """
+
+    scale_idx: np.ndarray
+    time_idx: np.ndarray
+    values: np.ndarray
+    a: np.ndarray
+    trusted: np.ndarray
+    offsets: np.ndarray
+
+    def of(self, k: int) -> slice:
+        return slice(self.offsets[k], self.offsets[k + 1])
+
+
+def _by_line(m: MaximaSet) -> _Lines:
+    """The lines of m as flat arrays.
 
     A point is trusted outside the cone of influence and below the grid's
     top octave, where neighbouring structure bleeds in.
     """
-    a = c.scales[line.scale_idx]
-    cone = c.cone_of_influence[line.scale_idx]
-    ok = (line.time_idx >= cone) & (line.time_idx < len(c.times) - cone)
-    ok &= a <= c.scales[-1] / 2.0 + 1e-15 * c.scales[-1]
-    return a, ok
+    pts = m.line_points
+    scale_idx, time_idx = m.scale_idx[pts], m.time_idx[pts]
+    a = m.scales[scale_idx]
+    cone = m.cone_of_influence[scale_idx]
+    trusted = (time_idx >= cone) & (time_idx < len(m.times) - cone)
+    trusted &= a <= m.scales[-1] / 2.0 + 1e-15 * m.scales[-1]
+    return _Lines(scale_idx=scale_idx, time_idx=time_idx,
+                  values=m.values[pts], a=a, trusted=trusted,
+                  offsets=m.line_offsets)
 
 
-def _usable_points(c: CwtMatrix, line: MaximaLine, noise_floor: float,
-                   fit_octaves: float):
-    """Select the line points a decay fit can trust.
+def _thresholds(m: MaximaSet, cfg: DetectionConfig):
+    """(sigma_hat, thr, loc_floor) of a maxima set.
 
-    Trusted (see _trusted), above noise_floor, and within fit_octaves of
-    the line's finest usable scale so the asymptotic fine-scale slope is
-    measured rather than some global average.
+    sigma_hat is the robust noise level of the finest row (its median
+    absolute deviation over 0.6745); line points count as significant at
+    thr and a location may walk down while it stays above loc_floor, both
+    kept above the dust floor of the largest |W|.
     """
-    a, ok = _trusted(c, line)
-    ok &= line.values > max(noise_floor, 0.0)
-    if np.any(ok):
-        a_fine = a[ok].min()
-        ok &= a <= a_fine * 2.0 ** fit_octaves * (1.0 + 1e-12)
-    if np.count_nonzero(ok) < 3:
-        raise LineTooShortError(
-            f"only {np.count_nonzero(ok)} usable points on line, need 3")
-    return np.log(a[ok]), np.log(line.values[ok])
-
-
-def estimate_cusp_exponent(c: CwtMatrix, line: MaximaLine,
-                           noise_floor: float = 0.0,
-                           fit_octaves: float = 3.0) -> float:
-    """Holder exponent from the scaling of |W| along one maxima line.
-
-    Least-squares slope of log |W| against log a over the trustworthy
-    stretch of the line (see _usable_points), minus the 1/2 the transform
-    normalization contributes. Needs at least 3 usable points.
-    """
-    la, lv = _usable_points(c, line, noise_floor, fit_octaves)
-    slope = np.polyfit(la, lv, 1)[0]
-    return float(slope - 0.5)
+    finest = m.finest
+    sigma = float(np.median(np.abs(finest - np.median(finest))) / 0.6745)
+    absmax = float(m.row_max.max())
+    thr = max(cfg.threshold_multiplier * sigma, _DUST * absmax)
+    loc_floor = max(2.0 * sigma, _DUST * absmax)
+    return sigma, thr, loc_floor
 
 
 # onset slopes at or above this say "smooth ridge", whatever the wide
@@ -143,9 +153,9 @@ def _pairwise_slope(la: np.ndarray, lv: np.ndarray) -> float:
     return float(np.median(dv[iu] / da[iu]))
 
 
-def _line_readout(c: CwtMatrix, line: MaximaLine, thr: float,
-                  loc_floor: float, fit_octaves: float):
-    """Anchor, classify and locate one maxima line.
+def _line_readout(lines: _Lines, s: slice, thr: float, loc_floor: float,
+                  fit_octaves: float, dt: float):
+    """Anchor, classify and locate the maxima line at slice s of lines.
 
     The anchor is the finest pair of consecutive above-threshold points
     whose surrounding octave stays significant in the median; an isolated
@@ -166,17 +176,18 @@ def _line_readout(c: CwtMatrix, line: MaximaLine, thr: float,
 
     Returns (onset_alpha, tail_alpha, alpha, k_loc, k_anchor) with
     tail_alpha None when the window is too short to have a separate
-    tail; raises LineTooShortError when the cone of influence or the
-    grid leaves too little to read.
+    tail, and k_loc, k_anchor positions along the line; raises
+    LineTooShortError when the cone of influence or the grid leaves too
+    little to read.
     """
-    a, usable = _trusted(c, line)
-    sig = usable & (line.values >= thr)
+    a, usable, values = lines.a[s], lines.trusted[s], lines.values[s]
+    sig = usable & (values >= thr)
 
     anchor = -1
     for k in range(sig.size - 1):
         if sig[k] and sig[k + 1]:
             near = usable & (a >= a[k]) & (a <= 2.0 * a[k])
-            if np.median(line.values[near]) >= thr:
+            if np.median(values[near]) >= thr:
                 anchor = k
                 break
     if anchor < 0:
@@ -187,24 +198,24 @@ def _line_readout(c: CwtMatrix, line: MaximaLine, thr: float,
             a[onset].max() < a[anchor] * 2.0 ** 0.75:
         raise LineTooShortError("significant stretch too short to classify")
     onset_alpha = _pairwise_slope(np.log(a[onset]),
-                                  np.log(line.values[onset])) - 0.5
+                                  np.log(values[onset])) - 0.5
 
     wide = sig & (a >= a[anchor])
     wide &= a <= a[anchor] * 2.0 ** fit_octaves * (1.0 + 1e-12)
-    alpha = _pairwise_slope(np.log(a[wide]), np.log(line.values[wide])) - 0.5
+    alpha = _pairwise_slope(np.log(a[wide]), np.log(values[wide])) - 0.5
 
     a_top = a[wide].max()
     tail = wide & (a >= a_top / 2.0 ** 1.5 * (1.0 - 1e-12))
     tail_alpha = None
     if np.count_nonzero(tail) >= 4 and a_top >= a[tail].min() * 2.0 ** 0.75:
         tail_alpha = _pairwise_slope(np.log(a[tail]),
-                                     np.log(line.values[tail])) - 0.5
+                                     np.log(values[tail])) - 0.5
 
-    drift_cap = a[anchor] / c.dt
+    time_idx = lines.time_idx[s]
+    drift_cap = a[anchor] / dt
     k_loc = anchor
-    while k_loc > 0 and line.values[k_loc - 1] >= loc_floor and \
-            abs(int(line.time_idx[k_loc - 1]) -
-                int(line.time_idx[anchor])) <= drift_cap:
+    while k_loc > 0 and values[k_loc - 1] >= loc_floor and \
+            abs(int(time_idx[k_loc - 1]) - int(time_idx[anchor])) <= drift_cap:
         k_loc -= 1
     return onset_alpha, tail_alpha, alpha, k_loc, anchor
 
@@ -213,59 +224,52 @@ def detect_singularities(f: TimeSeries, wavelet, grid: ScaleGrid | None = None,
                          config: DetectionConfig | None = None) -> SingularityReport:
     """Locate and classify isolated singularities in a sampled signal.
 
-    Pipeline: CWT on a log-spaced grid, per-scale modulus maxima chained
-    into lines, then detect_from_maxima on the two.
+    Pipeline: per-scale modulus maxima of the CWT on a log-spaced grid,
+    found row by row as cwt_maxima computes them and chained into lines,
+    then detect_from_maxima on them.
     """
     cfg = config or DetectionConfig()
-    c = cwt_fft(f, wavelet, grid or ScaleGrid.default_for(f))
-    return detect_from_maxima(c, modulus_maxima(c, cfg.min_amplitude_fraction),
-                              cfg)
+    return detect_from_maxima(
+        cwt_maxima(f, wavelet, grid or ScaleGrid.default_for(f),
+                   cfg.min_amplitude_fraction), cfg)
 
 
-def detect_from_maxima(c: CwtMatrix, maxima: MaximaSet,
+def detect_from_maxima(maxima: MaximaSet,
                        config: DetectionConfig | None = None) -> SingularityReport:
-    """Singularities from a computed CWT and its chained modulus maxima.
+    """Singularities from chained modulus maxima.
 
     Robust noise level from the finest-scale row, persistence gate,
     exponent estimate, classification, then a scale-aware merge that
     collapses the twin ridges a jump throws off either flank. maxima must
-    come from modulus_maxima(c, config.min_amplitude_fraction).
+    come from modulus_maxima or cwt_maxima with
+    config.min_amplitude_fraction.
     """
     cfg = config or DetectionConfig()
-    if c.n_scales < 4:
-        raise TooFewScalesError(f"{c.n_scales} scales is too coarse a grid")
-
-    finest = c.coefficients[0]
-    finest = finest.real if np.iscomplexobj(finest) else finest
-    sigma = float(np.median(np.abs(finest - np.median(finest))) / 0.6745)
-
-    # row by row: a whole-matrix |W| would be the run's largest temporary
-    absmax = max(float(np.abs(row).max()) for row in c.coefficients) \
-        if c.coefficients.size else 0.0
-    thr = max(cfg.threshold_multiplier * sigma, _DUST * absmax)
-    loc_floor = max(2.0 * sigma, _DUST * absmax)
-
-    scale_starts = np.searchsorted(maxima.scale_idx,
-                                   np.arange(c.scales.size + 1))
+    m = maxima
+    if m.scales.size < 4:
+        raise TooFewScalesError(f"{m.scales.size} scales is too coarse a grid")
+    sigma, thr, loc_floor = _thresholds(m, cfg)
+    lines = _by_line(m)
+    scale_starts = np.searchsorted(m.scale_idx, np.arange(m.scales.size + 1))
 
     # a line with no point >= thr spans -1 octaves and anchors no readout,
     # so only the persistence test can count it
-    peak = np.full(len(maxima.lines), -np.inf)
-    np.fmax.at(peak, maxima.line_id, maxima.values)
+    peak = np.full(m.n_lines, -np.inf)
+    np.fmax.at(peak, m.line_id, m.values)
     live = peak >= thr
     n_sig = 0 if -1.0 < cfg.persistence_octaves else \
         int(np.count_nonzero(~live))
 
     candidates = []
-    for line in compress(maxima.lines, live):
-        a = c.scales[line.scale_idx]
-        span = _significant_span(c, maxima, line, scale_starts, thr)
+    for k in np.flatnonzero(live).tolist():
+        s = lines.of(k)
+        span = _significant_span(m, lines, s, scale_starts, thr)
         if span < cfg.persistence_octaves:
             continue
         n_sig += 1
         try:
             onset_alpha, tail_alpha, alpha, k_loc, k_anchor = _line_readout(
-                c, line, thr, loc_floor, fit_octaves=cfg.fit_octaves)
+                lines, s, thr, loc_floor, cfg.fit_octaves, m.dt)
         except LineTooShortError:
             continue
         if onset_alpha >= _SMOOTH_ONSET or alpha < -0.35:
@@ -275,31 +279,32 @@ def detect_from_maxima(c: CwtMatrix, maxima: MaximaSet,
         if cfg.max_alpha is not None and alpha >= cfg.max_alpha:
             continue
 
-        i_loc = int(line.time_idx[k_loc])
+        a, values = lines.a[s], lines.values[s]
+        i_loc = int(lines.time_idx[s][k_loc])
         a_anchor = float(a[k_anchor])
 
-        ks = np.nonzero(line.values >= thr)[0][:cfg.fine_scale_count]
-        strength = float((line.values[ks] ** 2 / a[ks]).max())
+        ks = np.nonzero(values >= thr)[0][:cfg.fine_scale_count]
+        strength = float((values[ks] ** 2 / a[ks]).max())
 
         candidates.append((i_loc, a_anchor, strength, alpha,
-                           line.span_octaves(c.scales)))
+                           float(np.log2(a[-1] / a[0]))))
 
     candidates.sort(key=lambda s: s[0])
-    merged = _merge_flanks(candidates, c.dt)
+    merged = _merge_flanks(candidates, m.dt)
 
-    events = tuple(SingularityEvent(location=float(c.times[i]),
+    events = tuple(SingularityEvent(location=float(m.times[i]),
                                     kind="jump" if alpha < 0.15 else "cusp",
                                     strength=strength, alpha=alpha,
                                     line_span_octaves=span)
                    for i, _, strength, alpha, span in merged)
     return SingularityReport(events=events, sigma_hat=sigma,
-                             n_lines=len(maxima.lines), n_significant=n_sig,
-                             wavelet=c.wavelet.name, config=cfg)
+                             n_lines=m.n_lines, n_significant=n_sig,
+                             wavelet=m.wavelet.name, config=cfg)
 
 
-def _significant_span(c: CwtMatrix, maxima: MaximaSet, line: MaximaLine,
+def _significant_span(m: MaximaSet, lines: _Lines, s: slice,
                       scale_starts: np.ndarray, thr: float) -> float:
-    """Octaves spanned by the line's above-threshold evidence.
+    """Octaves spanned by the above-threshold evidence of the line at s.
 
     Converging ridges share their coarse stretch, but the chaining gives
     each coarse maximum to a single line, so a real singularity's line can
@@ -309,37 +314,39 @@ def _significant_span(c: CwtMatrix, maxima: MaximaSet, line: MaximaLine,
     its evidence, and the walk repeats from that host's end. Lines that
     fade below threshold before merging gain nothing.
     """
-    own_sig = line.values >= thr
+    own_sig = lines.values[s] >= thr
     if not np.any(own_sig):
         return -1.0
-    a_lo = float(c.scales[line.scale_idx[own_sig]].min())
-    a_hi = float(c.scales[line.scale_idx[own_sig]].max())
+    a_lo = float(lines.a[s][own_sig].min())
+    a_hi = float(lines.a[s][own_sig].max())
 
-    j_end = int(line.scale_idx[-1])
-    i_end = int(line.time_idx[-1])
-    v_end = float(line.values[-1])
+    end = s.stop - 1
+    j_end = int(lines.scale_idx[end])
+    i_end = int(lines.time_idx[end])
+    v_end = float(lines.values[end])
     hops = 0
-    while v_end >= thr and j_end + 1 < c.scales.size and hops < c.scales.size:
+    while v_end >= thr and j_end + 1 < m.scales.size and hops < m.scales.size:
         hops += 1
         j2 = j_end + 1
         lo, hi = int(scale_starts[j2]), int(scale_starts[j2 + 1])
-        t2 = maxima.time_idx[lo:hi]
+        t2 = m.time_idx[lo:hi]
         pos = int(np.searchsorted(t2, i_end))
         best, best_d = -1, None
-        for k in (pos - 1, pos):
-            if 0 <= k < t2.size:
-                d = abs(int(t2[k]) - i_end)
-                if d <= c.scales[j2] / c.dt and (best_d is None or d < best_d):
-                    best_d, best = d, lo + k
+        for q in (pos - 1, pos):
+            if 0 <= q < t2.size:
+                d = abs(int(t2[q]) - i_end)
+                if d <= m.scales[j2] / m.dt and (best_d is None or d < best_d):
+                    best_d, best = d, lo + q
         if best < 0:
             break
-        host = maxima.lines[maxima.line_id[best]]
-        seg_sig = (host.scale_idx >= j2) & (host.values >= thr)
+        host = lines.of(int(m.line_id[best]))
+        seg_sig = (lines.scale_idx[host] >= j2) & (lines.values[host] >= thr)
         if np.any(seg_sig):
-            a_hi = max(a_hi, float(c.scales[host.scale_idx[seg_sig]].max()))
-        j_end = int(host.scale_idx[-1])
-        i_end = int(host.time_idx[-1])
-        v_end = float(host.values[-1])
+            a_hi = max(a_hi, float(lines.a[host][seg_sig].max()))
+        end = host.stop - 1
+        j_end = int(lines.scale_idx[end])
+        i_end = int(lines.time_idx[end])
+        v_end = float(lines.values[end])
     return log2(a_hi / a_lo)
 
 

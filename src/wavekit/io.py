@@ -26,6 +26,7 @@ lines holding whitespace). Both routes give the same float64 values.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import warnings
 from dataclasses import asdict, dataclass
@@ -96,10 +97,18 @@ def read_signal_csv(path: str) -> TimeSeries:
     if bad.size:
         raise InvalidSignalError(
             f"{path}: time in data row {bad[0] + 1} is not finite")
-    dt = (t[-1] - t[0]) / (len(t) - 1)
+    # Python floats: a span past float64's range becomes inf without a warning
+    span = float(t[-1]) - float(t[0])
+    if not math.isfinite(span):
+        raise InvalidSignalError(
+            f"{path}: times in data rows 1 and {len(t)} are further apart "
+            f"than float64 holds")
+    dt = span / (len(t) - 1)
     if dt <= 0:
         raise InvalidSignalError(f"{path}: time column must increase")
-    jitter = np.abs(np.diff(t) - dt)
+    # a step past float64's range reads as inf jitter at its row
+    with np.errstate(over="ignore"):
+        jitter = np.abs(np.diff(t) - dt)
     worst = int(np.argmax(jitter))
     if jitter[worst] > 1e-9 * abs(dt):
         raise InvalidSignalError(
@@ -276,6 +285,17 @@ def write_covariance_tsv(path: str, r) -> None:
 
 # ------------------------------------------------------------- PGM images
 
+def _pixels(v: np.ndarray, lo: float, span: float, size: int) -> np.ndarray:
+    """Pixel index of each coordinate, (v - lo) / span * size, cut to the image.
+
+    The coordinates are first clipped in float to [lo, lo + span], outside
+    which the index is cut to 0 or size - 1 anyway, so a far point neither
+    overflows the scaling nor meets an undefined int64 cast.
+    """
+    v = np.clip(v, lo, lo + span)
+    return np.clip(((v - lo) / span * size).astype(np.int64), 0, size - 1)
+
+
 def points_to_image(points: np.ndarray, width: int, height: int,
                     bbox: tuple | None = None) -> np.ndarray:
     """Rasterize points to a grayscale density image.
@@ -304,10 +324,9 @@ def points_to_image(points: np.ndarray, width: int, height: int,
     x_span = x_span or 1.0
     y_span = y_span or 1.0
 
-    ix = np.clip(((pts[:, 0] - x_lo) / x_span * width).astype(np.int64),
-                 0, width - 1)
-    iy = np.clip(((y_hi - pts[:, 1]) / y_span * height).astype(np.int64),
-                 0, height - 1)
+    ix = _pixels(pts[:, 0], x_lo, x_span, width)
+    # rows count down from y_hi; negating is exact, so -y - -y_hi is y_hi - y
+    iy = _pixels(-pts[:, 1], -y_hi, y_span, height)
     counts = np.zeros((height, width), dtype=np.int64)
     np.add.at(counts, (iy, ix), 1)
 

@@ -19,6 +19,15 @@ that length no other entry wraps onto them, so the circular result is the
 linear one. Its rows run on a thread pool with one worker per CPU the
 process may use, fed in scale order; numpy's FFT releases the GIL, and
 each row gets the same bits as in a one-thread loop.
+
+Modulus maxima are found one row at a time by a single row reducer, which
+modulus_maxima feeds from a computed matrix and cwt_maxima feeds from the
+pool as each row arrives, so cwt_maxima never holds the scale x time
+matrix: its memory is O(n) plus the maxima. The maxima are chained into
+lines by matching rounds over flat arrays, and a MaximaSet holds the lines
+as one line-sorted permutation of the points plus line offsets, next to
+the few things detection reads of the transform (each row's largest |W|
+and the finest row), so detection needs no CwtMatrix.
 """
 
 from __future__ import annotations
@@ -133,38 +142,38 @@ class Scalogram:
 
 
 @dataclass(frozen=True)
-class MaximaLine:
-    """One chained ridge of modulus maxima, ordered fine to coarse."""
-
-    scale_idx: np.ndarray
-    time_idx: np.ndarray
-    values: np.ndarray
-    point_indices: np.ndarray
-
-    def span_octaves(self, scales: np.ndarray) -> float:
-        a = scales[self.scale_idx]
-        return float(np.log2(a[-1] / a[0]))
-
-
-@dataclass(frozen=True)
 class MaximaSet:
-    """Modulus maxima (i, j, |W|) as flat arrays, plus their chained lines.
+    """Modulus maxima (i, j, |W|) as flat arrays, their chained lines, and
+    what detection reads of the transform besides them.
 
-    The points are in (scale, time) order. line_id[k] is the line point k
-    belongs to; lines[line_id[k]] holds it.
+    The points are in (scale, time) order; line_id[k] is the line point k
+    belongs to. line_points lists the point indices line by line, each line
+    fine to coarse, and line k is line_points[line_offsets[k]:
+    line_offsets[k + 1]]. row_max[j] is the largest |W| on row j, and
+    finest the real part of row 0.
     """
 
     time_idx: np.ndarray
     scale_idx: np.ndarray
     values: np.ndarray
     line_id: np.ndarray
-    lines: tuple
+    line_points: np.ndarray
+    line_offsets: np.ndarray
     scales: np.ndarray
     times: np.ndarray
+    cone_of_influence: np.ndarray
+    dt: float
+    wavelet: Wavelet
+    row_max: np.ndarray
+    finest: np.ndarray
 
     @property
     def n_points(self) -> int:
         return self.time_idx.size
+
+    @property
+    def n_lines(self) -> int:
+        return self.line_offsets.size - 1
 
 
 def _check_grid(f: TimeSeries, g: ScaleGrid) -> None:
@@ -301,6 +310,126 @@ def scalogram(c: CwtMatrix) -> Scalogram:
     return Scalogram(values=power, scales=c.scales, times=c.times)
 
 
+def _maxima_reducer(n_scales: int, min_amplitude_fraction: float):
+    """(add, collect) for the modulus maxima of rows, one per scale.
+
+    add(j, row) keeps row j's maxima and their |W|, its largest |W| and,
+    for j = 0, a copy of its real part, in any order and from any thread.
+    collect() returns (time_idx, scale_idx, values, row_max, finest) with
+    the points in (scale, time) order once every row has been added.
+    """
+    if not 0.0 <= min_amplitude_fraction <= 1.0:
+        raise ValueError("min_amplitude_fraction must be in [0, 1]")
+    peaks = [None] * n_scales
+    row_max = np.empty(n_scales)
+    finest = [None]
+
+    def add(j, row):
+        mag = np.abs(row)
+        is_max = np.zeros(mag.size, dtype=bool)
+        np.greater(mag[1:-1], mag[:-2], out=is_max[1:-1])
+        is_max[1:-1] &= mag[1:-1] >= mag[2:]
+        row_max[j] = mag.max()
+        if min_amplitude_fraction > 0.0:
+            is_max &= mag >= min_amplitude_fraction * row_max[j]
+        idx = np.flatnonzero(is_max)
+        peaks[j] = idx, mag[idx]
+        if j == 0:
+            finest[0] = row.real.copy()
+
+    def collect():
+        time_idx = np.concatenate([p[0] for p in peaks])
+        scale_idx = np.repeat(np.arange(n_scales), [p[0].size for p in peaks])
+        values = np.concatenate([p[1] for p in peaks])
+        peaks.clear()  # the chaining runs while the reducer is still alive
+        return time_idx, scale_idx, values, row_max, finest[0]
+
+    return add, collect
+
+
+def _links(scale_idx: np.ndarray, time_idx: np.ndarray, scales: np.ndarray,
+           dt: float, n: int):
+    """Candidate links (head, new) between maxima on adjacent scales.
+
+    Every maximum not on the coarsest scale is paired with the at most two
+    maxima one scale up that flank its time index and lie within a_{j+1}/dt
+    samples of it. The pairs come sorted by (coarse scale, offset, coarse
+    time index, fine time index), a strict total order.
+    """
+    # the right flank is found by one search over the (scale, time)-ordered
+    # keys; the left flank sits just before it
+    key = scale_idx * (n + 1) + time_idx
+    n_fine = np.searchsorted(scale_idx, scales.size - 1)
+    pos = np.searchsorted(key, key[:n_fine] + (n + 1))
+    head = np.tile(np.arange(pos.size), 2)
+    new = np.concatenate((pos - 1, pos))
+    keep = new < key.size
+    head, new = head[keep], new[keep]
+    dist = np.abs(time_idx[new] - time_idx[head])
+    keep = (scale_idx[new] == scale_idx[head] + 1) & \
+        (dist <= scales[scale_idx[new]] / dt)
+    head, new, dist = head[keep], new[keep], dist[keep]
+    order = np.lexsort((time_idx[head], time_idx[new], dist, scale_idx[new]))
+    return head[order], new[order]
+
+
+def _match(head: np.ndarray, new: np.ndarray, n_points: int) -> np.ndarray:
+    """parent[k] = h for the links the greedy pass over (head, new) takes.
+
+    The greedy pass takes the links in array order and skips one whose head
+    or new point is already linked. Here each round takes every link left
+    that comes first among the links left sharing its head or its new point
+    (it is locally dominant), then drops the links left with a linked end.
+    Under a strict order this takes exactly the greedy pass's links (Preis
+    1999): a locally dominant link meets no earlier link left, and the
+    earliest link left is always locally dominant.
+    """
+    parent = np.full(n_points, -1, dtype=np.int64)
+    head_used = np.zeros(n_points, dtype=bool)
+    new_used = np.zeros(n_points, dtype=bool)
+    first_of_head = np.empty(n_points, dtype=np.int64)
+    first_of_new = np.empty(n_points, dtype=np.int64)
+    rank = np.arange(head.size)
+    while rank.size:
+        h, k = head[rank], new[rank]
+        first_of_head[h] = head.size
+        first_of_new[k] = head.size
+        np.minimum.at(first_of_head, h, rank)
+        np.minimum.at(first_of_new, k, rank)
+        win = (first_of_head[h] == rank) & (first_of_new[k] == rank)
+        parent[k[win]] = h[win]
+        head_used[h[win]] = True
+        new_used[k[win]] = True
+        rank = rank[~(head_used[h] | new_used[k])]
+    return parent
+
+
+def _chain(collected, scales: np.ndarray, times: np.ndarray, cone: np.ndarray,
+           dt: float, wavelet: Wavelet) -> MaximaSet:
+    """MaximaSet from what a maxima reducer collected over every row."""
+    time_idx, scale_idx, values, row_max, finest = collected
+    n_scales = scales.size
+    parent = _match(*_links(scale_idx, time_idx, scales, dt, times.size),
+                    scale_idx.size)
+
+    # a point with no parent opens the next line; the rest inherit theirs
+    bounds = np.searchsorted(scale_idx, np.arange(n_scales + 1))
+    line_id = np.cumsum(parent < 0) - 1
+    for j in range(1, n_scales):
+        seg = slice(bounds[j], bounds[j + 1])
+        linked = parent[seg] >= 0
+        line_id[seg][linked] = line_id[parent[seg][linked]]
+
+    # lines are runs of the points sorted stably by line, fine to coarse
+    line_points = np.argsort(line_id, kind="stable")
+    line_offsets = np.concatenate(([0], np.cumsum(np.bincount(line_id))))
+    return MaximaSet(time_idx=time_idx, scale_idx=scale_idx, values=values,
+                     line_id=line_id, line_points=line_points,
+                     line_offsets=line_offsets, scales=scales, times=times,
+                     cone_of_influence=cone, dt=dt, wavelet=wavelet,
+                     row_max=row_max, finest=finest)
+
+
 def modulus_maxima(c: CwtMatrix, min_amplitude_fraction: float = 0.0) -> MaximaSet:
     """Local maxima of |W| along translation, chained across scales.
 
@@ -317,64 +446,25 @@ def modulus_maxima(c: CwtMatrix, min_amplitude_fraction: float = 0.0) -> MaximaS
     start new lines, unmatched lines terminate. Ridges converge as scale
     grows, so each maximum extends at most one line; a line beaten to its
     nearest coarse maximum ends there. Lines are numbered in the order of
-    their first point, and line_id gives each point's line.
+    their first point, and line_id gives each point's line. The matrix is
+    read one row at a time, so no temporary of its size is made.
     """
-    if not 0.0 <= min_amplitude_fraction <= 1.0:
-        raise ValueError("min_amplitude_fraction must be in [0, 1]")
-    mag = np.abs(c.coefficients)
-    n_scales, n = mag.shape
+    add, collect = _maxima_reducer(c.n_scales, min_amplitude_fraction)
+    for j, row in enumerate(c.coefficients):
+        add(j, row)
+    return _chain(collect(), c.scales, c.times, c.cone_of_influence, c.dt,
+                  c.wavelet)
 
-    is_max = np.zeros(mag.shape, dtype=bool)
-    np.greater(mag[:, 1:-1], mag[:, :-2], out=is_max[:, 1:-1])
-    is_max[:, 1:-1] &= mag[:, 1:-1] >= mag[:, 2:]
-    if min_amplitude_fraction > 0.0:
-        is_max &= mag >= min_amplitude_fraction * mag.max(axis=1, keepdims=True)
-    scale_idx, time_idx = np.nonzero(is_max)
-    values = mag[scale_idx, time_idx]
-    # whole-matrix arrays: held through the chaining they set peak memory
-    del mag, is_max
 
-    # candidate links: every maximum not on the coarsest scale against the
-    # two maxima one scale up that flank its time index, the right one
-    # found by one search over the (scale, time)-ordered keys
-    bounds = np.searchsorted(scale_idx, np.arange(n_scales + 1))
-    key = scale_idx * (n + 1) + time_idx
-    pos = np.searchsorted(key, key[:bounds[-2]] + (n + 1))
-    head = np.tile(np.arange(pos.size), 2)
-    new = np.concatenate((pos - 1, pos))
-    keep = new < key.size
-    head, new = head[keep], new[keep]
-    dist = np.abs(time_idx[new] - time_idx[head])
-    keep = (scale_idx[new] == scale_idx[head] + 1) & \
-        (dist <= c.scales[scale_idx[new]] / c.dt)
-    head, new, dist = head[keep], new[keep], dist[keep]
-    order = np.lexsort((time_idx[head], time_idx[new], dist, scale_idx[new]))
+def cwt_maxima(f: TimeSeries, w: Wavelet, g: ScaleGrid,
+               min_amplitude_fraction: float = 0.0) -> MaximaSet:
+    """modulus_maxima(cwt_fft(f, w, g), min_amplitude_fraction), streamed.
 
-    # greedy nearest-first matching; each point links at most once each way
-    parent = np.full(scale_idx.size, -1, dtype=np.int64)
-    new_taken = bytearray(scale_idx.size)
-    head_taken = bytearray(scale_idx.size)
-    for k, h in zip(new[order].tolist(), head[order].tolist()):
-        if new_taken[k] or head_taken[h]:
-            continue
-        new_taken[k] = head_taken[h] = 1
-        parent[k] = h
-
-    # a point with no parent opens the next line; the rest inherit theirs
-    line_id = np.cumsum(parent < 0) - 1
-    for j in range(1, n_scales):
-        seg = slice(bounds[j], bounds[j + 1])
-        linked = parent[seg] >= 0
-        line_id[seg][linked] = line_id[parent[seg][linked]]
-
-    # lines are runs of the points sorted stably by line, fine to coarse
-    members = np.argsort(line_id, kind="stable")
-    ends = np.cumsum(np.bincount(line_id)).tolist()
-    by_line = scale_idx[members], time_idx[members], values[members]
-    lines = tuple(
-        MaximaLine(scale_idx=by_line[0][lo:hi], time_idx=by_line[1][lo:hi],
-                   values=by_line[2][lo:hi], point_indices=members[lo:hi])
-        for lo, hi in zip([0] + ends[:-1], ends))
-    return MaximaSet(time_idx=time_idx, scale_idx=scale_idx, values=values,
-                     line_id=line_id, lines=lines, scales=c.scales,
-                     times=c.times)
+    Each cwt_fft row is searched for its maxima in the worker that computed
+    it and then dropped, so the scale x time matrix is never held: memory
+    is O(n) plus the maxima. The result is the same to the bit.
+    """
+    add, collect = _maxima_reducer(g.n_scales, min_amplitude_fraction)
+    _fft_rows(f, w, g, add)
+    return _chain(collect(), g.scales.copy(), f.time_axis(), _cone(f, w, g),
+                  f.dt, w)

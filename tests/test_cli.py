@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavekit
 from wavekit import (DetectionConfig, ScaleGrid, TimeSeries, by_name, cwt_fft,
-                     detect_singularities, modulus_maxima, scalogram)
+                     detect_singularities, gen_chirp_jump, modulus_maxima,
+                     scalogram)
 from wavekit.cli import main
 from wavekit.io import (read_json, read_pgm, read_signal_csv, report_to_dict,
                         write_json, write_maxima_tsv, write_scalogram_tsv,
@@ -264,6 +270,31 @@ def test_non_finite_time_is_invalid_input(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_time_span_past_float64_is_invalid_input(tmp_path, capsys):
+    p = tmp_path / "t.csv"
+    p.write_text("-1e308,1\n1e308,2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(p)]) == 2
+    assert "t.csv: times in data rows 1 and 2 are further apart than " \
+        "float64 holds" in capsys.readouterr().err
+
+
+def test_rasterize_puts_far_points_on_the_border(tmp_path):
+    pts, edge = tmp_path / "p.csv", tmp_path / "e.csv"
+    pts.write_text("-1e308,0\n1e308,1\n")
+    edge.write_text("-1,0\n1,1\n")
+    box = ["--bbox", "-1", "1", "0", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rasterize", str(pts), "--out",
+                     str(tmp_path / "p.pgm"), *box]) == 0
+    assert main(["rasterize", str(edge), "--out",
+                 str(tmp_path / "e.pgm"), *box]) == 0
+    assert read_pgm(str(tmp_path / "p.pgm")).tobytes() == \
+        read_pgm(str(tmp_path / "e.pgm")).tobytes()
+
+
 def test_rasterize_rejects_extents_past_float64(tmp_path, capsys):
     pts = tmp_path / "p.csv"
     pts.write_text("-1e308,0\n1e308,1\n")
@@ -279,6 +310,45 @@ def test_fbm_hurst_domain(tmp_path, capsys):
     assert main(["gen", "fbm", "--hurst", "1.5", "--seed", "1",
                  "--out", str(tmp_path / "b.csv")]) == 2
     assert "hurst" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ memory
+
+# runs `python -m wavekit` as the child's main module, then prints the
+# child's own peak resident set size in KiB on a last line. That is VmHWM,
+# the high-water mark of the memory map made at exec: ru_maxrss would also
+# count the memory of the test process the child was forked from.
+_PEAK_RSS_CHILD = """
+import runpy, sys
+sys.argv = ["wavekit"] + sys.argv[1:]
+code = None
+try:
+    runpy.run_module("wavekit", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+with open("/proc/self/status") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print("rc", code, "peak_kib", hwm)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set size from /proc")
+def test_analyze_report_at_64k_holds_no_scale_time_matrix(tmp_path):
+    # the 105 x 65 536 coefficient matrix alone is 55 MB, and a |W| copy
+    # of it as much again; the report needs neither
+    signal = str(tmp_path / "big.csv")
+    write_signal_csv(signal, gen_chirp_jump(65536, sigma=0.3, seed=1))
+    src = str(Path(wavekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, "analyze", signal,
+         "--report", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    last = done.stdout.split("\n")[-2].split()
+    assert last[:2] == ["rc", "0"], done.stderr
+    assert int(last[3]) / 1024 <= 100.0
 
 
 # ----------------------------------------------------------- argparse layer

@@ -3,9 +3,10 @@ import pytest
 
 from wavekit import (DetectionConfig, LineTooShortError, MexicanHat,
                      ScaleGrid, TimeSeries, TooFewScalesError, cwt_fft,
-                     detect_singularities, estimate_cusp_exponent,
-                     gen_chirp_jump, gen_eq11, modulus_maxima)
-from wavekit.detect import _DUST, _significant_span, detect_from_maxima
+                     cwt_maxima, detect_singularities, gen_chirp_jump,
+                     gen_eq11, modulus_maxima)
+from wavekit.detect import (_DUST, _by_line, _line_readout, _significant_span,
+                            _thresholds, detect_from_maxima)
 
 MEXHAT = MexicanHat()
 
@@ -16,41 +17,53 @@ def _locations(report):
 
 # ------------------------------------------------------- exponent readout
 
-def _cusp_matrix(alpha=0.3, n=2048):
+def _cusp_maxima(alpha=0.3, n=2048):
     x = np.linspace(0.0, 1.0, n)
     f = TimeSeries(samples=-4.0 * np.abs(x - 0.5) ** alpha, dt=x[1])
     g = ScaleGrid.log_spaced(2.0 * f.dt, 0.25 * f.n * f.dt)
-    return cwt_fft(f, MEXHAT, g)
+    return cwt_maxima(f, MEXHAT, g)
 
 
-def _ridge_through(c, b):
-    lines = modulus_maxima(c).lines
-    near = [ln for ln in lines
-            if abs(np.median(c.times[ln.time_idx]) - b) < 0.02]
-    return max(near, key=lambda ln: ln.span_octaves(c.scales))
+def _span_octaves(lines, k):
+    a = lines.a[lines.of(k)]
+    return float(np.log2(a[-1] / a[0]))
+
+
+def _ridge_through(m, b):
+    """The lines of m and the longest one whose median time is near b."""
+    lines = _by_line(m)
+    near = [k for k in range(m.n_lines)
+            if abs(np.median(m.times[lines.time_idx[lines.of(k)]]) - b)
+            < 0.02]
+    return lines, max(near, key=lambda k: _span_octaves(lines, k))
+
+
+def _wide_alpha(m, b, thr=None):
+    """The detector's wide-window exponent on the ridge through b."""
+    _, default_thr, loc_floor = _thresholds(m, DetectionConfig())
+    lines, k = _ridge_through(m, b)
+    return _line_readout(lines, lines.of(k),
+                         default_thr if thr is None else thr, loc_floor,
+                         DetectionConfig().fit_octaves, m.dt)[2]
 
 
 def test_cusp_exponent_from_clean_ridge():
-    c = _cusp_matrix(alpha=0.3)
-    line = _ridge_through(c, 0.5)
-    assert line.span_octaves(c.scales) > 4.0
-    assert estimate_cusp_exponent(c, line) == pytest.approx(0.3, abs=0.08)
+    m = _cusp_maxima(alpha=0.3)
+    lines, k = _ridge_through(m, 0.5)
+    assert _span_octaves(lines, k) > 4.0
+    assert _wide_alpha(m, 0.5) == pytest.approx(0.3, abs=0.08)
 
 
 def test_exponent_tracks_the_singularity_order():
-    c_soft = _cusp_matrix(alpha=0.7)
-    c_hard = _cusp_matrix(alpha=0.2)
-    soft = estimate_cusp_exponent(c_soft, _ridge_through(c_soft, 0.5))
-    hard = estimate_cusp_exponent(c_hard, _ridge_through(c_hard, 0.5))
+    soft = _wide_alpha(_cusp_maxima(alpha=0.7), 0.5)
+    hard = _wide_alpha(_cusp_maxima(alpha=0.2), 0.5)
     assert hard < soft
     assert soft == pytest.approx(0.7, abs=0.12)
 
 
 def test_noise_floor_can_starve_the_fit():
-    c = _cusp_matrix()
-    line = _ridge_through(c, 0.5)
     with pytest.raises(LineTooShortError):
-        estimate_cusp_exponent(c, line, noise_floor=1e9)
+        _wide_alpha(_cusp_maxima(), 0.5, thr=1e9)
 
 
 # ------------------------------------------------------------- detection
@@ -132,11 +145,13 @@ def test_significant_count_matches_every_lines_span(persistence):
     c = cwt_fft(f, MEXHAT, ScaleGrid.default_for(f))
     m = modulus_maxima(c)
     cfg = DetectionConfig(persistence_octaves=persistence)
-    rep = detect_from_maxima(c, m, cfg)
+    rep = detect_from_maxima(m, cfg)
     thr = max(cfg.threshold_multiplier * rep.sigma_hat,
               _DUST * np.abs(c.coefficients).max())
     starts = np.searchsorted(m.scale_idx, np.arange(c.n_scales + 1))
-    spans = [_significant_span(c, m, ln, starts, thr) for ln in m.lines]
+    lines = _by_line(m)
+    spans = [_significant_span(m, lines, lines.of(k), starts, thr)
+             for k in range(m.n_lines)]
     assert min(spans) == -1.0
     assert rep.n_significant == sum(not s < persistence for s in spans)
 

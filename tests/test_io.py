@@ -94,6 +94,24 @@ def test_signal_csv_names_the_first_non_finite_time(tmp_path, body, row):
             read_signal_csv(str(p))
 
 
+@pytest.mark.parametrize("body, message", [
+    ("-1e308,1\n1e308,2\n",
+     "times in data rows 1 and 2 are further apart than float64 holds"),
+    ("# t,value\n1e308,1\n0,2\n-1e308,3\n",
+     "times in data rows 1 and 3 are further apart than float64 holds"),
+    ("0,1\n1.5e308,2\n-1e308,3\n1,4\n",
+     r"nonuniform spacing near data row 2 \(jitter inf"),
+])
+def test_signal_csv_names_the_rows_of_a_span_past_float64(tmp_path, body,
+                                                          message):
+    p = tmp_path / "t.csv"
+    p.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSignalError, match=f"t.csv: {message}"):
+            read_signal_csv(str(p))
+
+
 def test_parse_errors_name_the_file_and_line(tmp_path):
     p = tmp_path / "named.csv"
     p.write_text("# h\n0.0,1.0\nnope,2.0\n")
@@ -287,6 +305,41 @@ def test_density_image_rejects_extents_past_float64(pts, bbox):
             points_to_image(np.array(pts), 8, 8, bbox=bbox)
 
 
+def test_density_image_puts_far_points_on_the_border():
+    far = np.array([[-1e308, 0.5], [1e308, 0.5], [0.5, -1e308], [0.5, 1e308],
+                    [1.7e308, -1.7e308]])
+    edge = np.array([[-1.0, 0.5], [1.0, 0.5], [0.5, 0.0], [0.5, 1.0],
+                     [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        img = points_to_image(far, 8, 6, bbox=(-1.0, 1.0, 0.0, 1.0))
+    assert np.array_equal(img, points_to_image(edge, 8, 6,
+                                               bbox=(-1.0, 1.0, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_density_image_pixels_match_the_unclipped_formula(seed):
+    # points up to ten boxes away on either side, and a zero-width box:
+    # the float clip changes no pixel the plain formula got right
+    rng = np.random.default_rng(seed)
+    x_lo, y_lo = rng.normal(size=2)
+    x_span, y_span = rng.choice([0.0, 1e-3, 1.0, 7.5], size=2)
+    pts = np.column_stack(
+        [x_lo + (x_span or 1.0) * rng.uniform(-10, 11, 400),
+         y_lo + (y_span or 1.0) * rng.uniform(-10, 11, 400)])
+    pts[:20] = [x_lo, y_lo]
+    w, h = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+    bbox = (x_lo, x_lo + x_span, y_lo, y_lo + y_span)
+    sx, sy = (bbox[1] - bbox[0]) or 1.0, (bbox[3] - bbox[2]) or 1.0
+    ix = np.clip(((pts[:, 0] - bbox[0]) / sx * w).astype(np.int64), 0, w - 1)
+    iy = np.clip(((bbox[3] - pts[:, 1]) / sy * h).astype(np.int64), 0, h - 1)
+    counts = np.zeros((h, w), dtype=np.int64)
+    np.add.at(counts, (iy, ix), 1)
+    want = np.log1p(counts.astype(np.float64))
+    want = np.rint(want * (255.0 / want.max())).astype(np.uint8)
+    assert np.array_equal(points_to_image(pts, w, h, bbox=bbox), want)
+
+
 @pytest.mark.parametrize("bbox, digest", [
     (None, "f762feca1cfd9f8c82b439b43ddc958f27577ec0f06ac02161f2165dee7ec566"),
     ((-1.0, 1.0, 0.0, 2.0),
@@ -382,7 +435,11 @@ def test_maxima_tsv_bytes_match_the_row_formatter(tmp_path, block_rows):
     time_idx = rng.integers(0, times.size, 50)
     m = MaximaSet(time_idx=time_idx, scale_idx=scale_idx,
                   values=_special_values(50, 8), line_id=np.arange(50),
-                  lines=(), scales=scales, times=times)
+                  line_points=np.arange(50), line_offsets=np.arange(51),
+                  scales=scales, times=times,
+                  cone_of_influence=np.zeros(scales.size, np.int64), dt=1.0,
+                  wavelet=MexicanHat(), row_max=np.zeros(scales.size),
+                  finest=np.zeros(times.size))
     p = tmp_path / "m.tsv"
     write_maxima_tsv(str(p), m)
     assert p.read_bytes() == _row_bytes(

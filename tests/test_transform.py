@@ -2,6 +2,7 @@
 adaptive quadrature of the defining integral, plus grid, cone, scalogram and
 modulus-maxima behaviour."""
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,9 +14,10 @@ from scipy.integrate import quad
 
 from wavekit import (CwtMatrix, Haar, MexicanHat, Morlet, ScaleGrid,
                      ScaleTooFineError, TimeSeries, cwt_direct, cwt_fft,
-                     modulus_maxima, scalogram, support_radius)
+                     cwt_maxima, modulus_maxima, scalogram, support_radius)
 from wavekit import transform
-from wavekit.transform import _check_grid, _fft_rows, _kernel, _smooth_length
+from wavekit.transform import (_check_grid, _fft_rows, _kernel, _links, _match,
+                               _smooth_length)
 
 WAVELETS = [MexicanHat(), Morlet(), Haar()]
 
@@ -479,22 +481,24 @@ def test_amplitude_floor_prunes_points():
         modulus_maxima(c, min_amplitude_fraction=1.5)
 
 
+def _lines(m):
+    """Each line's point indices, fine to coarse, in line order."""
+    off = m.line_offsets.tolist()
+    return [m.line_points[lo:hi] for lo, hi in zip(off[:-1], off[1:])]
+
+
 def test_lines_are_contiguous_and_within_tolerance():
     f = _noise(512, 8)
     c = cwt_fft(f, MexicanHat(), ScaleGrid.default_for(f))
     m = modulus_maxima(c)
-    assert sum(ln.point_indices.size for ln in m.lines) == m.n_points
-    seen = set()
-    for ln in m.lines:
-        assert np.all(np.diff(ln.scale_idx) == 1)
-        for p, j, i, v in zip(ln.point_indices, ln.scale_idx, ln.time_idx,
-                              ln.values):
-            assert m.scale_idx[p] == j and m.time_idx[p] == i
-            assert m.values[p] == v
-            assert p not in seen
-            seen.add(p)
-        drift = np.abs(np.diff(ln.time_idx.astype(np.int64)))
-        tol = c.scales[ln.scale_idx[1:]] / c.dt
+    assert m.line_offsets[0] == 0 and m.line_offsets[-1] == m.n_points
+    assert np.all(np.diff(m.line_offsets) >= 1)
+    assert np.array_equal(np.sort(m.line_points), np.arange(m.n_points))
+    for k, pts in enumerate(_lines(m)):
+        assert np.all(m.line_id[pts] == k)
+        assert np.all(np.diff(m.scale_idx[pts]) == 1)
+        drift = np.abs(np.diff(m.time_idx[pts].astype(np.int64)))
+        tol = c.scales[m.scale_idx[pts][1:]] / c.dt
         assert np.all(drift <= tol)
 
 
@@ -503,10 +507,12 @@ def test_isolated_singularity_owns_a_long_line():
     f = TimeSeries(samples=-np.abs(x - 0.5) ** 0.4, dt=x[1] - x[0])
     c = cwt_fft(f, MexicanHat(), ScaleGrid.default_for(f))
     m = modulus_maxima(c)
-    at_half = [ln for ln in m.lines
-               if abs(c.times[ln.time_idx[0]] - 0.5) < 0.01]
+    at_half = [pts for pts in _lines(m)
+               if abs(c.times[m.time_idx[pts[0]]] - 0.5) < 0.01]
     assert at_half
-    assert max(ln.span_octaves(c.scales) for ln in at_half) > 4.0
+    assert max(np.log2(c.scales[m.scale_idx[pts[-1]]] /
+                       c.scales[m.scale_idx[pts[0]]])
+               for pts in at_half) > 4.0
 
 
 def _reference_maxima(c, min_amplitude_fraction=0.0):
@@ -568,23 +574,41 @@ def _reference_maxima(c, min_amplitude_fraction=0.0):
     return time_idx, scale_idx, values, lines
 
 
+def _greedy_parent(head, new, n_points):
+    """The one-by-one greedy pass _match replaced, kept as its oracle."""
+    parent = np.full(n_points, -1, dtype=np.int64)
+    new_taken = bytearray(n_points)
+    head_taken = bytearray(n_points)
+    for k, h in zip(new.tolist(), head.tolist()):
+        if new_taken[k] or head_taken[h]:
+            continue
+        new_taken[k] = head_taken[h] = 1
+        parent[k] = h
+    return parent
+
+
 def _assert_matches_reference(c, min_amplitude_fraction=0.0):
     m = modulus_maxima(c, min_amplitude_fraction)
     time_idx, scale_idx, values, lines = _reference_maxima(
         c, min_amplitude_fraction)
     line_id = np.empty(time_idx.size, dtype=np.int64)
+    parent = np.full(time_idx.size, -1, dtype=np.int64)
     for li, pts in enumerate(lines):
         line_id[pts] = li
+        parent[pts[1:]] = pts[:-1]
     assert np.array_equal(m.time_idx, time_idx)
     assert np.array_equal(m.scale_idx, scale_idx)
     assert np.array_equal(m.values, values)
     assert np.array_equal(m.line_id, line_id)
-    assert len(m.lines) == len(lines)
-    for ln, pts in zip(m.lines, lines):
-        assert ln.point_indices.tolist() == pts
-        assert np.array_equal(ln.scale_idx, scale_idx[pts])
-        assert np.array_equal(ln.time_idx, time_idx[pts])
-        assert np.array_equal(ln.values, values[pts])
+    assert m.n_lines == len(lines)
+    assert [pts.tolist() for pts in _lines(m)] == lines
+    # the matching rounds link exactly what the loops link
+    head, new = _links(m.scale_idx, m.time_idx, c.scales, c.dt, c.n_times)
+    assert np.array_equal(_match(head, new, m.n_points), parent)
+    assert np.array_equal(_greedy_parent(head, new, m.n_points), parent)
+    mag = np.abs(c.coefficients)
+    assert np.array_equal(m.row_max, mag.max(axis=1))
+    assert np.array_equal(m.finest, c.coefficients[0].real)
     return m
 
 
@@ -621,7 +645,8 @@ def test_maxima_tie_breaks_follow_offset_then_coarse_then_fine_index():
                      [0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
                      [0, 0, 0, 1, 0, 0, 0, 1, 0, 0]])
     m = _assert_matches_reference(c)
-    assert [ln.time_idx.tolist() for ln in m.lines] == [[3, 5, 3], [7], [7]]
+    assert [m.time_idx[pts].tolist() for pts in _lines(m)] == \
+        [[3, 5, 3], [7], [7]]
     assert m.line_id.tolist() == [0, 1, 0, 0, 2]
 
 
@@ -639,5 +664,82 @@ def test_matrix_without_maxima_has_no_lines():
     c = _toy_matrix([np.arange(8.0), np.zeros(8)])
     m = _assert_matches_reference(c)
     assert m.n_points == 0
-    assert m.lines == ()
-    assert m.line_id.size == 0
+    assert m.n_lines == 0
+    assert m.line_id.size == 0 and m.line_points.size == 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matching_rounds_equal_the_greedy_pass_on_dense_conflicts(seed):
+    # few points and many links: long chains of conflicts that take the
+    # rounds several passes to resolve, repeated pairs included
+    rng = np.random.default_rng(seed)
+    n_points, n_links = int(rng.integers(2, 30)), int(rng.integers(0, 200))
+    head = rng.integers(0, n_points, n_links)
+    new = rng.integers(0, n_points, n_links)
+    assert np.array_equal(_match(head, new, n_points),
+                          _greedy_parent(head, new, n_points))
+
+
+def test_matching_takes_a_cascade_link_by_link():
+    # link r shares its new point with link r - 1 and its head with link
+    # r + 1, so each round takes only the earliest link left
+    head = np.array([0, 1, 1, 2, 2, 3])
+    new = np.array([5, 5, 6, 6, 7, 7])
+    assert np.array_equal(_match(head, new, 8),
+                          _greedy_parent(head, new, 8))
+    assert _match(head, new, 8)[5:].tolist() == [0, 1, 2]
+
+
+# ------------------------------------------- streamed maxima (cwt_maxima)
+
+@pytest.mark.parametrize("n", [2, 3, 17, 300, 2000, 40000])
+@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
+def test_streamed_maxima_are_the_matrix_route_bits(w, n, cpus):
+    f = _noise(n, n)
+    top = 16.0 if n == 40000 else n
+    g = ScaleGrid.log_spaced(2.0 * f.dt, top * f.dt, 2.0 if n == 40000 else 8.0)
+    c = _serial_cwt_fft(f, w, g)
+    matrix = CwtMatrix(coefficients=c, scales=g.scales, times=f.time_axis(),
+                       cone_of_influence=transform._cone(f, w, g), dt=f.dt,
+                       wavelet=w)
+    for fraction in (0.0, 0.3):
+        _CountingPool.made.clear()
+        want = modulus_maxima(matrix, fraction)
+        got = cwt_maxima(f, w, g, fraction)
+        _assert_pool_bounds(cpus, g.n_scales)
+        for name in ("time_idx", "scale_idx", "values", "line_id",
+                     "line_points", "line_offsets", "scales", "times",
+                     "cone_of_influence", "row_max", "finest"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.dt == want.dt and got.wavelet == want.wavelet
+        assert np.array_equal(want.row_max, np.abs(c).max(axis=1))
+        assert np.array_equal(want.finest, c[0].real)
+
+
+def test_streamed_maxima_survive_thread_switches_in_every_row(monkeypatch):
+    # seven workers on 97 rows with a switch interval of 1 us: rows land in
+    # the reducer out of order and interleaved, and none may be lost
+    monkeypatch.setattr(transform, "_cpu_count", lambda: 7)
+    f = _noise(3000, 11)
+    g = ScaleGrid.log_spaced(2.0 * f.dt, 8.0 * f.dt, 48.0)
+    want = modulus_maxima(cwt_fft(f, MexicanHat(), g), 0.1)
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = cwt_maxima(f, MexicanHat(), g, 0.1)
+    finally:
+        sys.setswitchinterval(before)
+    assert g.n_scales == 97
+    for name in ("time_idx", "scale_idx", "values", "line_id", "row_max",
+                 "finest"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_streamed_maxima_check_their_arguments_before_any_fft():
+    f = _noise(64, 1)
+    with pytest.raises(ValueError, match="min_amplitude_fraction"):
+        cwt_maxima(f, _TracedHat(set(), fail_at=0), ScaleGrid.default_for(f),
+                   1.5)
+    with pytest.raises(ScaleTooFineError):
+        cwt_maxima(f, MexicanHat(), ScaleGrid.log_spaced(f.dt, 8 * f.dt))

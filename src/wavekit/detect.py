@@ -9,11 +9,11 @@ singularity allows right where they clear the noise belong to smooth
 oscillations, and lines with no decay at all are noise ridges; both are
 discarded rather than reported.
 
-The detector reads only a MaximaSet: each line is a slice of flat,
-line-sorted copies of the maxima arrays, and the noise level comes from
-the finest row the set carries. It never needs the scale x time matrix,
-so detect_singularities, fed by cwt_maxima, holds O(n) memory plus the
-maxima.
+The detector reads only a MaximaSet, its lines through _by_line: each is
+a slice of flat, line-sorted copies of the maxima arrays with the line it
+merged into, and the noise level comes from the finest row the set
+carries. It never links maxima nor needs the scale x time matrix, so
+detect_singularities, fed by cwt_maxima, holds O(n) memory plus the maxima.
 """
 
 from __future__ import annotations
@@ -62,6 +62,15 @@ class DetectionConfig:
     max_alpha: float | None = None
     min_amplitude_fraction: float = 0.0
 
+    def __post_init__(self):
+        # reports and manifests are JSON, which has no NaN or Infinity
+        for name in ("threshold_multiplier", "persistence_octaves",
+                     "fit_octaves", "max_alpha"):
+            value = getattr(self, name)
+            if not (name == "max_alpha" and value is None) and \
+                    not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class SingularityEvent:
@@ -89,16 +98,17 @@ class SingularityReport:
 class _Lines(NamedTuple):
     """Every line's points back to back, each line fine to coarse.
 
-    Line k is the slice offsets[k]:offsets[k + 1] of each array; a holds
-    the scale of each point, and trusted flags the points a fit may read.
+    Line k is the slice offsets[k]:offsets[k + 1] of each point array, a
+    holds each point's scale, trusted flags the points a fit may read, and
+    host[k] is the line that line k merged into, or -1.
     """
 
-    scale_idx: np.ndarray
     time_idx: np.ndarray
     values: np.ndarray
     a: np.ndarray
     trusted: np.ndarray
     offsets: np.ndarray
+    host: np.ndarray
 
     def of(self, k: int) -> slice:
         return slice(self.offsets[k], self.offsets[k + 1])
@@ -116,9 +126,8 @@ def _by_line(m: MaximaSet) -> _Lines:
     cone = m.cone_of_influence[scale_idx]
     trusted = (time_idx >= cone) & (time_idx < len(m.times) - cone)
     trusted &= a <= m.scales[-1] / 2.0 + 1e-15 * m.scales[-1]
-    return _Lines(scale_idx=scale_idx, time_idx=time_idx,
-                  values=m.values[pts], a=a, trusted=trusted,
-                  offsets=m.line_offsets)
+    return _Lines(time_idx=time_idx, values=m.values[pts], a=a,
+                  trusted=trusted, offsets=m.line_offsets, host=m.line_host)
 
 
 def _thresholds(m: MaximaSet, cfg: DetectionConfig):
@@ -250,20 +259,17 @@ def detect_from_maxima(maxima: MaximaSet,
         raise TooFewScalesError(f"{m.scales.size} scales is too coarse a grid")
     sigma, thr, loc_floor = _thresholds(m, cfg)
     lines = _by_line(m)
-    scale_starts = np.searchsorted(m.scale_idx, np.arange(m.scales.size + 1))
 
     # a line with no point >= thr spans -1 octaves and anchors no readout,
     # so only the persistence test can count it
-    peak = np.full(m.n_lines, -np.inf)
-    np.fmax.at(peak, m.line_id, m.values)
-    live = peak >= thr
+    live = np.fmax.reduceat(lines.values, lines.offsets[:-1]) >= thr
     n_sig = 0 if -1.0 < cfg.persistence_octaves else \
         int(np.count_nonzero(~live))
 
     candidates = []
     for k in np.flatnonzero(live).tolist():
         s = lines.of(k)
-        span = _significant_span(m, lines, s, scale_starts, thr)
+        span = _significant_span(lines, k, thr)
         if span < cfg.persistence_octaves:
             continue
         n_sig += 1
@@ -302,18 +308,18 @@ def detect_from_maxima(maxima: MaximaSet,
                              wavelet=m.wavelet.name, config=cfg)
 
 
-def _significant_span(m: MaximaSet, lines: _Lines, s: slice,
-                      scale_starts: np.ndarray, thr: float) -> float:
-    """Octaves spanned by the above-threshold evidence of the line at s.
+def _significant_span(lines: _Lines, k: int, thr: float) -> float:
+    """Octaves spanned by the above-threshold evidence of line k.
 
     Converging ridges share their coarse stretch, but the chaining gives
     each coarse maximum to a single line, so a real singularity's line can
     be cut short where it merges into a stronger neighbour. When a line is
-    still above threshold at its coarse end, the ridge it merged into (the
-    nearest maximum one scale up, within the linking tolerance) continues
-    its evidence, and the walk repeats from that host's end. Lines that
-    fade below threshold before merging gain nothing.
+    still above threshold at its coarse end, its host (the ridge it merged
+    into) continues its evidence above that end, and the walk repeats from
+    the host's end, on a coarser scale each time. Lines that fade below
+    threshold before merging gain nothing.
     """
+    s = lines.of(k)
     own_sig = lines.values[s] >= thr
     if not np.any(own_sig):
         return -1.0
@@ -321,32 +327,13 @@ def _significant_span(m: MaximaSet, lines: _Lines, s: slice,
     a_hi = float(lines.a[s][own_sig].max())
 
     end = s.stop - 1
-    j_end = int(lines.scale_idx[end])
-    i_end = int(lines.time_idx[end])
-    v_end = float(lines.values[end])
-    hops = 0
-    while v_end >= thr and j_end + 1 < m.scales.size and hops < m.scales.size:
-        hops += 1
-        j2 = j_end + 1
-        lo, hi = int(scale_starts[j2]), int(scale_starts[j2 + 1])
-        t2 = m.time_idx[lo:hi]
-        pos = int(np.searchsorted(t2, i_end))
-        best, best_d = -1, None
-        for q in (pos - 1, pos):
-            if 0 <= q < t2.size:
-                d = abs(int(t2[q]) - i_end)
-                if d <= m.scales[j2] / m.dt and (best_d is None or d < best_d):
-                    best_d, best = d, lo + q
-        if best < 0:
-            break
-        host = lines.of(int(m.line_id[best]))
-        seg_sig = (lines.scale_idx[host] >= j2) & (lines.values[host] >= thr)
+    while lines.values[end] >= thr and lines.host[k] >= 0:
+        k = int(lines.host[k])
+        s = lines.of(k)
+        seg_sig = (lines.a[s] > lines.a[end]) & (lines.values[s] >= thr)
         if np.any(seg_sig):
-            a_hi = max(a_hi, float(lines.a[host][seg_sig].max()))
-        end = host.stop - 1
-        j_end = int(lines.scale_idx[end])
-        i_end = int(lines.time_idx[end])
-        v_end = float(lines.values[end])
+            a_hi = max(a_hi, float(lines.a[s][seg_sig].max()))
+        end = s.stop - 1
     return log2(a_hi / a_lo)
 
 

@@ -278,9 +278,8 @@ def estimate_to_dict(est) -> dict:
 def write_covariance_tsv(path: str, r) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("# a\tvariance\tcount\n")
-        for j in range(r.scales.size):
-            fh.write(_fnum(r.scales[j]) + "\t" + _fnum(r.values[j]) + "\t"
-                     + str(int(r.counts[j])) + "\n")
+        _write_rows(fh, _FMT + "\t" + _FMT + "\t%d\n", r.scales, r.values,
+                    r.counts)
 
 
 # ------------------------------------------------------------- PGM images
@@ -321,6 +320,10 @@ def points_to_image(points: np.ndarray, width: int, height: int,
     if not (np.isfinite(x_span) and np.isfinite(y_span)):
         raise InvalidSignalError(
             f"bbox {(x_lo, x_hi, y_lo, y_hi)} spans more than float64 holds")
+    if x_span < 0 or y_span < 0:
+        raise InvalidSignalError(
+            f"bbox {(x_lo, x_hi, y_lo, y_hi)} is reversed: need XLO <= XHI "
+            "and YLO <= YHI")
     x_span = x_span or 1.0
     y_span = y_span or 1.0
 

@@ -25,9 +25,9 @@ modulus_maxima feeds from a computed matrix and cwt_maxima feeds from the
 pool as each row arrives, so cwt_maxima never holds the scale x time
 matrix: its memory is O(n) plus the maxima. The maxima are chained into
 lines by matching rounds over flat arrays, and a MaximaSet holds the lines
-as one line-sorted permutation of the points plus line offsets, next to
-the few things detection reads of the transform (each row's largest |W|
-and the finest row), so detection needs no CwtMatrix.
+as a line-sorted permutation of the points, line offsets and the line
+each one merged into, next to what detection reads of the transform (each
+row's largest |W| and the finest row): detection needs no CwtMatrix.
 """
 
 from __future__ import annotations
@@ -146,19 +146,20 @@ class MaximaSet:
     """Modulus maxima (i, j, |W|) as flat arrays, their chained lines, and
     what detection reads of the transform besides them.
 
-    The points are in (scale, time) order; line_id[k] is the line point k
-    belongs to. line_points lists the point indices line by line, each line
-    fine to coarse, and line k is line_points[line_offsets[k]:
-    line_offsets[k + 1]]. row_max[j] is the largest |W| on row j, and
-    finest the real part of row 0.
+    The points are in (scale, time) order. line_points lists the point
+    indices line by line, each line fine to coarse, and line k is
+    line_points[line_offsets[k]:line_offsets[k + 1]]. line_host[k], the
+    ridge line k merged into, holds the nearest linkable maximum one scale
+    above line k's last point, or is -1 when there is none. row_max[j] is
+    the largest |W| on row j, and finest the real part of row 0.
     """
 
     time_idx: np.ndarray
     scale_idx: np.ndarray
     values: np.ndarray
-    line_id: np.ndarray
     line_points: np.ndarray
     line_offsets: np.ndarray
+    line_host: np.ndarray
     scales: np.ndarray
     times: np.ndarray
     cone_of_influence: np.ndarray
@@ -409,8 +410,8 @@ def _chain(collected, scales: np.ndarray, times: np.ndarray, cone: np.ndarray,
     """MaximaSet from what a maxima reducer collected over every row."""
     time_idx, scale_idx, values, row_max, finest = collected
     n_scales = scales.size
-    parent = _match(*_links(scale_idx, time_idx, scales, dt, times.size),
-                    scale_idx.size)
+    head, new = _links(scale_idx, time_idx, scales, dt, times.size)
+    parent = _match(head, new, scale_idx.size)
 
     # a point with no parent opens the next line; the rest inherit theirs
     bounds = np.searchsorted(scale_idx, np.arange(n_scales + 1))
@@ -423,9 +424,16 @@ def _chain(collected, scales: np.ndarray, times: np.ndarray, cone: np.ndarray,
     # lines are runs of the points sorted stably by line, fine to coarse
     line_points = np.argsort(line_id, kind="stable")
     line_offsets = np.concatenate(([0], np.cumsum(np.bincount(line_id))))
+
+    # a line's host holds the new point of its last point's first (nearest)
+    # link; with no link, first stays head.size and picks the appended -1
+    first = np.full(scale_idx.size, head.size)
+    np.minimum.at(first, head, np.arange(head.size))
+    ends = line_points[line_offsets[1:] - 1]
+    line_host = np.append(line_id[new], -1)[first[ends]]
     return MaximaSet(time_idx=time_idx, scale_idx=scale_idx, values=values,
-                     line_id=line_id, line_points=line_points,
-                     line_offsets=line_offsets, scales=scales, times=times,
+                     line_points=line_points, line_offsets=line_offsets,
+                     line_host=line_host, scales=scales, times=times,
                      cone_of_influence=cone, dt=dt, wavelet=wavelet,
                      row_max=row_max, finest=finest)
 
@@ -445,9 +453,9 @@ def modulus_maxima(c: CwtMatrix, min_amplitude_fraction: float = 0.0) -> MaximaS
     pair is skipped when either end is already linked. Unmatched maxima
     start new lines, unmatched lines terminate. Ridges converge as scale
     grows, so each maximum extends at most one line; a line beaten to its
-    nearest coarse maximum ends there. Lines are numbered in the order of
-    their first point, and line_id gives each point's line. The matrix is
-    read one row at a time, so no temporary of its size is made.
+    nearest coarse maximum ends there, and that maximum's line is its
+    line_host. Lines are numbered in the order of their first point. The
+    matrix is read one row at a time, so no temporary of its size is made.
     """
     add, collect = _maxima_reducer(c.n_scales, min_amplitude_fraction)
     for j, row in enumerate(c.coefficients):

@@ -63,6 +63,24 @@ def test_max_alpha_flag_lands_in_the_report(tmp_path):
     assert all(e["alpha"] <= 1.0 for e in d["events"])
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--threshold", "nan", "threshold_multiplier"),
+    ("--threshold", "-inf", "threshold_multiplier"),
+    ("--persistence", "inf", "persistence_octaves"),
+    ("--max-alpha", "nan", "max_alpha"),
+])
+def test_analyze_rejects_non_finite_settings(tmp_path, capsys, flag, value,
+                                             name):
+    # NaN and Infinity are not JSON: no report or manifest may carry them
+    sig = _gen_signal(tmp_path, n=256)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["analyze", sig, f"{flag}={value}",
+                 "--report", str(report)]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["f.csv", "f.csv.manifest.json"]
+
+
 def test_analyze_side_files_and_manifests(tmp_path):
     sig = _gen_signal(tmp_path, n=512)
     sca = str(tmp_path / "s.tsv")
@@ -293,6 +311,18 @@ def test_rasterize_puts_far_points_on_the_border(tmp_path):
                  str(tmp_path / "e.pgm"), *box]) == 0
     assert read_pgm(str(tmp_path / "p.pgm")).tobytes() == \
         read_pgm(str(tmp_path / "e.pgm")).tobytes()
+
+
+@pytest.mark.parametrize("box", [["3", "-3", "11", "-1"],
+                                 ["-3", "3", "11", "-1"]])
+def test_rasterize_rejects_a_reversed_bbox(tmp_path, capsys, box):
+    pts = tmp_path / "p.csv"
+    pts.write_text("0,0\n1,1\n")
+    out = tmp_path / "p.pgm"
+    assert main(["rasterize", str(pts), "--out", str(out),
+                 "--bbox", *box]) == 2
+    assert "is reversed: need XLO <= XHI" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rasterize_rejects_extents_past_float64(tmp_path, capsys):

@@ -1,10 +1,12 @@
+from math import log2
+
 import numpy as np
 import pytest
 
-from wavekit import (DetectionConfig, LineTooShortError, MexicanHat,
-                     ScaleGrid, TimeSeries, TooFewScalesError, cwt_fft,
-                     cwt_maxima, detect_singularities, gen_chirp_jump,
-                     gen_eq11, modulus_maxima)
+from wavekit import (DetectionConfig, Haar, LineTooShortError, MexicanHat,
+                     Morlet, ScaleGrid, TimeSeries, TooFewScalesError,
+                     cwt_fft, cwt_maxima, detect_singularities,
+                     gen_chirp_jump, gen_eq11, modulus_maxima)
 from wavekit.detect import (_DUST, _by_line, _line_readout, _significant_span,
                             _thresholds, detect_from_maxima)
 
@@ -148,12 +150,70 @@ def test_significant_count_matches_every_lines_span(persistence):
     rep = detect_from_maxima(m, cfg)
     thr = max(cfg.threshold_multiplier * rep.sigma_hat,
               _DUST * np.abs(c.coefficients).max())
-    starts = np.searchsorted(m.scale_idx, np.arange(c.n_scales + 1))
     lines = _by_line(m)
-    spans = [_significant_span(m, lines, lines.of(k), starts, thr)
-             for k in range(m.n_lines)]
+    spans = [_significant_span(lines, k, thr) for k in range(m.n_lines)]
     assert min(spans) == -1.0
     assert rep.n_significant == sum(not s < persistence for s in spans)
+
+
+def _hop_walk_spans(m, thr):
+    """Every line's span by the walk that searched each coarser scale for
+    the host itself, kept as the reference for walking line_host."""
+    starts = np.searchsorted(m.scale_idx, np.arange(m.scales.size + 1))
+    lines = [m.line_points[lo:hi]
+             for lo, hi in zip(m.line_offsets[:-1], m.line_offsets[1:])]
+    line_id = np.empty(m.n_points, dtype=np.int64)
+    for li, pts in enumerate(lines):
+        line_id[pts] = li
+
+    spans = []
+    for pts in lines:
+        own = pts[m.values[pts] >= thr]
+        if own.size == 0:
+            spans.append(-1.0)
+            continue
+        a_lo = m.scales[m.scale_idx[own]].min()
+        a_hi = m.scales[m.scale_idx[own]].max()
+        end = pts[-1]
+        while m.values[end] >= thr and m.scale_idx[end] + 1 < m.scales.size:
+            j2 = m.scale_idx[end] + 1
+            lo, hi = starts[j2], starts[j2 + 1]
+            t2 = m.time_idx[lo:hi]
+            pos = np.searchsorted(t2, m.time_idx[end])
+            best, best_d = -1, None
+            for q in (pos - 1, pos):
+                if 0 <= q < t2.size:
+                    d = abs(int(t2[q]) - int(m.time_idx[end]))
+                    if d <= m.scales[j2] / m.dt and \
+                            (best_d is None or d < best_d):
+                        best_d, best = d, lo + q
+            if best < 0:
+                break
+            host = lines[line_id[best]]
+            seg = host[(m.scale_idx[host] >= j2) & (m.values[host] >= thr)]
+            if seg.size:
+                a_hi = max(a_hi, m.scales[m.scale_idx[seg]].max())
+            end = host[-1]
+        spans.append(log2(float(a_hi) / float(a_lo)))
+    return spans
+
+
+@pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
+                         ids=lambda w: w.name)
+def test_host_walk_matches_the_hop_search(w):
+    f = gen_chirp_jump(2048, sigma=0.3, seed=3)
+    m = cwt_maxima(f, w, ScaleGrid.default_for(f))
+    _, thr, _ = _thresholds(m, DetectionConfig())
+    lines = _by_line(m)
+    grown = 0
+    for t in (0.5 * thr, thr, 2.0 * thr):
+        want = _hop_walk_spans(m, t)
+        for k in range(m.n_lines):
+            span = _significant_span(lines, k, t)
+            assert span == want[k], (t, k)
+            own = lines.a[lines.of(k)][lines.values[lines.of(k)] >= t]
+            grown += own.size > 0 and span > log2(own.max() / own.min())
+    assert grown  # some spans do continue along a host
 
 
 def test_default_config_values():
@@ -164,6 +224,14 @@ def test_default_config_values():
     assert cfg.fit_octaves == 3.0
     assert cfg.max_alpha is None
     assert cfg.min_amplitude_fraction == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["threshold_multiplier", "persistence_octaves",
+                                  "fit_octaves", "max_alpha"])
+def test_config_refuses_non_finite_settings(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DetectionConfig(**{name: value})
 
 
 def test_too_coarse_grid_is_rejected():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import wavekit.io
 from wavekit import (DetectionConfig, InvalidSignalError, MaximaSet,
                      MexicanHat, ScaleGrid, Scalogram, TimeSeries,
-                     barnsley_tree_model, chaos_game, cwt_fft,
-                     detect_singularities, gen_chirp_jump, modulus_maxima,
-                     scalogram, wavelet_autocovariance)
+                     WaveletAutoCovariance, barnsley_tree_model, chaos_game,
+                     cwt_fft, detect_singularities, gen_chirp_jump,
+                     modulus_maxima, scalogram, wavelet_autocovariance)
 from wavekit.io import (RunManifest, _fnum, estimate_to_dict, points_to_image,
                         read_json, read_pgm, read_points_csv,
                         read_run_manifest, read_signal_csv, report_to_dict,
@@ -291,6 +291,14 @@ def test_density_image_rejects_non_finite_bbox(bbox):
         points_to_image(np.zeros((4, 2)), 8, 8, bbox=bbox)
 
 
+@pytest.mark.parametrize("bbox", [(3.0, -3.0, 11.0, -1.0),
+                                  (0.0, 1.0, 1.0, 0.0),
+                                  (0.0, -5e-324, 0.0, 1.0)])
+def test_density_image_rejects_a_reversed_bbox(bbox):
+    with pytest.raises(InvalidSignalError, match="bbox .* is reversed"):
+        points_to_image(np.zeros((4, 2)), 16, 16, bbox=bbox)
+
+
 @pytest.mark.parametrize("pts, bbox", [
     ([[-1e308, 0.0], [1e308, 1.0]], None),
     ([[0.0, -1e308], [1.0, 1e308]], None),
@@ -434,8 +442,8 @@ def test_maxima_tsv_bytes_match_the_row_formatter(tmp_path, block_rows):
     scale_idx = np.sort(rng.integers(0, scales.size, 50))
     time_idx = rng.integers(0, times.size, 50)
     m = MaximaSet(time_idx=time_idx, scale_idx=scale_idx,
-                  values=_special_values(50, 8), line_id=np.arange(50),
-                  line_points=np.arange(50), line_offsets=np.arange(51),
+                  values=_special_values(50, 8), line_points=np.arange(50),
+                  line_offsets=np.arange(51), line_host=np.full(50, -1),
                   scales=scales, times=times,
                   cone_of_influence=np.zeros(scales.size, np.int64), dt=1.0,
                   wavelet=MexicanHat(), row_max=np.zeros(scales.size),
@@ -446,6 +454,21 @@ def test_maxima_tsv_bytes_match_the_row_formatter(tmp_path, block_rows):
         "# b\ta\tabs_w\n", "\t",
         [(times[i], scales[j], v)
          for i, j, v in zip(time_idx, scale_idx, m.values)])
+
+
+def test_covariance_tsv_bytes_match_the_row_formatter(tmp_path, block_rows):
+    scales = _special_values(30, 9)
+    counts = np.random.default_rng(10).integers(0, 2 ** 62, scales.size)
+    counts[:3] = [0, 1, 2 ** 63 - 1]
+    r = WaveletAutoCovariance(scales=scales, values=_special_values(30, 11),
+                              counts=counts, wavelet="mexican-hat",
+                              n_samples=64, dt=1.0)
+    p = tmp_path / "r.tsv"
+    write_covariance_tsv(str(p), r)
+    assert p.read_bytes() == (
+        "# a\tvariance\tcount\n"
+        + "".join("%.17g\t%.17g\t%s\n" % (a, v, str(int(k)))
+                  for a, v, k in zip(scales, r.values, counts))).encode()
 
 
 def test_scalogram_tsv_bytes_are_pinned(tmp_path):

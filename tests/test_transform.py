@@ -494,8 +494,7 @@ def test_lines_are_contiguous_and_within_tolerance():
     assert m.line_offsets[0] == 0 and m.line_offsets[-1] == m.n_points
     assert np.all(np.diff(m.line_offsets) >= 1)
     assert np.array_equal(np.sort(m.line_points), np.arange(m.n_points))
-    for k, pts in enumerate(_lines(m)):
-        assert np.all(m.line_id[pts] == k)
+    for pts in _lines(m):
         assert np.all(np.diff(m.scale_idx[pts]) == 1)
         drift = np.abs(np.diff(m.time_idx[pts].astype(np.int64)))
         tol = c.scales[m.scale_idx[pts][1:]] / c.dt
@@ -587,21 +586,45 @@ def _greedy_parent(head, new, n_points):
     return parent
 
 
+def _reference_hosts(c, time_idx, scale_idx, lines):
+    """Each line's host by brute force: the line holding the nearest maximum
+    one scale above the line's last point, within a_{j+1}/dt samples, the
+    earlier one on a tie; -1 when there is none."""
+    line_of = {}
+    for li, pts in enumerate(lines):
+        line_of.update((p, li) for p in pts)
+    on_scale = [np.flatnonzero(scale_idx == j) for j in range(c.n_scales)]
+    hosts = []
+    for pts in lines:
+        j, i = scale_idx[pts[-1]], time_idx[pts[-1]]
+        if j + 1 == c.n_scales:
+            hosts.append(-1)
+            continue
+        q = on_scale[j + 1]
+        d = np.abs(time_idx[q] - i)
+        near = d <= c.scales[j + 1] / c.dt
+        q, d = q[near], d[near]
+        # nearest first, then the earlier time
+        hosts.append(line_of[int(q[np.lexsort((time_idx[q], d))[0]])]
+                     if q.size else -1)
+    return hosts
+
+
 def _assert_matches_reference(c, min_amplitude_fraction=0.0):
     m = modulus_maxima(c, min_amplitude_fraction)
     time_idx, scale_idx, values, lines = _reference_maxima(
         c, min_amplitude_fraction)
-    line_id = np.empty(time_idx.size, dtype=np.int64)
     parent = np.full(time_idx.size, -1, dtype=np.int64)
-    for li, pts in enumerate(lines):
-        line_id[pts] = li
+    for pts in lines:
         parent[pts[1:]] = pts[:-1]
     assert np.array_equal(m.time_idx, time_idx)
     assert np.array_equal(m.scale_idx, scale_idx)
     assert np.array_equal(m.values, values)
-    assert np.array_equal(m.line_id, line_id)
     assert m.n_lines == len(lines)
     assert [pts.tolist() for pts in _lines(m)] == lines
+    assert m.line_host.dtype == np.int64
+    assert m.line_host.tolist() == _reference_hosts(c, time_idx, scale_idx,
+                                                    lines)
     # the matching rounds link exactly what the loops link
     head, new = _links(m.scale_idx, m.time_idx, c.scales, c.dt, c.n_times)
     assert np.array_equal(_match(head, new, m.n_points), parent)
@@ -647,7 +670,8 @@ def test_maxima_tie_breaks_follow_offset_then_coarse_then_fine_index():
     m = _assert_matches_reference(c)
     assert [m.time_idx[pts].tolist() for pts in _lines(m)] == \
         [[3, 5, 3], [7], [7]]
-    assert m.line_id.tolist() == [0, 1, 0, 0, 2]
+    # the line ending at fine index 7 merged into line 0 at coarse index 5
+    assert m.line_host.tolist() == [-1, 0, -1]
 
 
 @pytest.mark.parametrize("rows", [
@@ -665,7 +689,7 @@ def test_matrix_without_maxima_has_no_lines():
     m = _assert_matches_reference(c)
     assert m.n_points == 0
     assert m.n_lines == 0
-    assert m.line_id.size == 0 and m.line_points.size == 0
+    assert m.line_points.size == 0 and m.line_host.size == 0
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -707,8 +731,8 @@ def test_streamed_maxima_are_the_matrix_route_bits(w, n, cpus):
         want = modulus_maxima(matrix, fraction)
         got = cwt_maxima(f, w, g, fraction)
         _assert_pool_bounds(cpus, g.n_scales)
-        for name in ("time_idx", "scale_idx", "values", "line_id",
-                     "line_points", "line_offsets", "scales", "times",
+        for name in ("time_idx", "scale_idx", "values", "line_points",
+                     "line_offsets", "line_host", "scales", "times",
                      "cone_of_influence", "row_max", "finest"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -731,8 +755,8 @@ def test_streamed_maxima_survive_thread_switches_in_every_row(monkeypatch):
     finally:
         sys.setswitchinterval(before)
     assert g.n_scales == 97
-    for name in ("time_idx", "scale_idx", "values", "line_id", "row_max",
-                 "finest"):
+    for name in ("time_idx", "scale_idx", "values", "line_points",
+                 "line_offsets", "line_host", "row_max", "finest"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 

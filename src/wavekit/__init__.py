@@ -5,9 +5,9 @@ in sampled signals, plus generators for the standard test cases.
 __version__ = "0.1.0"
 
 from .errors import (DegenerateFitError, InvalidHurstError, InvalidModelError,
-                     InvalidSignalError, LineTooShortError,
-                     NoValidSamplesError, OutOfRangeError, ScaleTooFineError,
-                     TooFewScalesError, WavekitError)
+                     InvalidSignalError, NoValidSamplesError,
+                     OutOfRangeError, ScaleTooFineError, TooFewScalesError,
+                     WavekitError)
 from .series import TimeSeries
 from .wavelets import Haar, MexicanHat, Morlet, Wavelet, by_name, support_radius
 from .transform import (CwtMatrix, MaximaSet, ScaleGrid, Scalogram, cwt_direct,
@@ -25,7 +25,7 @@ from .selfsim import (EstimationConfig, HurstEstimate, WaveletAutoCovariance,
 __all__ = [
     "__version__",
     "WavekitError", "InvalidSignalError", "ScaleTooFineError",
-    "TooFewScalesError", "LineTooShortError", "InvalidModelError",
+    "TooFewScalesError", "InvalidModelError",
     "InvalidHurstError", "NoValidSamplesError", "DegenerateFitError",
     "OutOfRangeError",
     "TimeSeries",

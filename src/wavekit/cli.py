@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .detect import DetectionConfig, detect_from_maxima
@@ -21,10 +22,9 @@ from .errors import (DegenerateFitError, InvalidHurstError, InvalidModelError,
                      OutOfRangeError, ScaleTooFineError, TooFewScalesError)
 from .generate import (NoiseSpec, add_noise, barnsley_tree_model, chaos_game,
                        gen_chirp_jump, gen_eq11, gen_fbm)
-from .io import (RunManifest, estimate_to_dict, points_to_image,
-                 read_points_csv, read_signal_csv, report_to_dict,
-                 write_covariance_tsv, write_json, write_maxima_tsv,
-                 write_pgm, write_points_csv, write_run_manifest,
+from .io import (RunManifest, points_to_image, read_points_csv,
+                 read_signal_csv, write_covariance_tsv, write_json,
+                 write_maxima_tsv, write_pgm, write_points_csv,
                  write_scalogram_tsv, write_signal_csv)
 from .selfsim import (EstimationConfig, estimation_grid, fit_power_law,
                       require_estimable, require_fit_grid, wavelet_variance)
@@ -152,11 +152,11 @@ def _add_transform_flags(sp: argparse.ArgumentParser) -> None:
 
 def _manifests(args, subcommand: str, params: dict, inputs: list,
                outputs: list) -> None:
-    m = RunManifest(subcommand=subcommand, argv=tuple(args._argv),
-                    params=params, inputs=tuple(inputs),
-                    outputs=tuple(outputs), version=__version__)
+    m = asdict(RunManifest(subcommand=subcommand, argv=tuple(args._argv),
+                           params=params, inputs=tuple(inputs),
+                           outputs=tuple(outputs), version=__version__))
     for out in outputs:
-        write_run_manifest(out + ".manifest.json", m)
+        write_json(out + ".manifest.json", m)
 
 
 def _grid_for(args, f, default) -> ScaleGrid:
@@ -199,9 +199,7 @@ def _cmd_gen_ifs(args) -> None:
 
 def _cmd_noise_add(args) -> None:
     f = read_signal_csv(args.input)
-    if args.sigma > 0 and args.seed is None:
-        raise InvalidSignalError("a seed is required when sigma > 0")
-    noisy = add_noise(f, NoiseSpec(sigma=args.sigma, seed=args.seed or 0))
+    noisy = add_noise(f, NoiseSpec(sigma=args.sigma, seed=args.seed))
     write_signal_csv(args.out, noisy)
     params = {"sigma": args.sigma, "seed": args.seed}
     _manifests(args, "gen noise-add", params, [args.input], [args.out])
@@ -225,7 +223,7 @@ def _cmd_analyze(args) -> None:
 
     outputs = []
     if args.report:
-        write_json(args.report, report_to_dict(report))
+        write_json(args.report, asdict(report))
         outputs.append(args.report)
     if args.scalogram:
         write_scalogram_tsv(args.scalogram, scalogram(c))
@@ -257,7 +255,7 @@ def _cmd_estimate(args) -> None:
     r = wavelet_variance(f, w, g, cfg)
     est = fit_power_law(r, cfg)
 
-    write_json(args.json, estimate_to_dict(est))
+    write_json(args.json, asdict(est))
     outputs = [args.json]
     if args.covariance:
         write_covariance_tsv(args.covariance, r)

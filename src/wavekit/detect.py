@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LineTooShortError, TooFewScalesError
+from .errors import TooFewScalesError
 from .series import TimeSeries
 from .transform import MaximaSet, ScaleGrid, cwt_maxima
 
@@ -185,9 +185,8 @@ def _line_readout(lines: _Lines, s: slice, thr: float, loc_floor: float,
 
     Returns (onset_alpha, tail_alpha, alpha, k_loc, k_anchor) with
     tail_alpha None when the window is too short to have a separate
-    tail, and k_loc, k_anchor positions along the line; raises
-    LineTooShortError when the cone of influence or the grid leaves too
-    little to read.
+    tail, and k_loc, k_anchor positions along the line; returns None
+    when the cone of influence or the grid leaves too little to read.
     """
     a, usable, values = lines.a[s], lines.trusted[s], lines.values[s]
     sig = usable & (values >= thr)
@@ -200,12 +199,12 @@ def _line_readout(lines: _Lines, s: slice, thr: float, loc_floor: float,
                 anchor = k
                 break
     if anchor < 0:
-        raise LineTooShortError("no significant stretch to anchor a fit")
+        return None  # no significant stretch to anchor a fit
 
     onset = sig & (a >= a[anchor]) & (a <= 2.0 * a[anchor] * (1.0 + 1e-12))
     if np.count_nonzero(onset) < 4 or \
             a[onset].max() < a[anchor] * 2.0 ** 0.75:
-        raise LineTooShortError("significant stretch too short to classify")
+        return None  # significant stretch too short to classify
     onset_alpha = _pairwise_slope(np.log(a[onset]),
                                   np.log(values[onset])) - 0.5
 
@@ -273,11 +272,11 @@ def detect_from_maxima(maxima: MaximaSet,
         if span < cfg.persistence_octaves:
             continue
         n_sig += 1
-        try:
-            onset_alpha, tail_alpha, alpha, k_loc, k_anchor = _line_readout(
-                lines, s, thr, loc_floor, cfg.fit_octaves, m.dt)
-        except LineTooShortError:
+        readout = _line_readout(lines, s, thr, loc_floor, cfg.fit_octaves,
+                                m.dt)
+        if readout is None:
             continue
+        onset_alpha, tail_alpha, alpha, k_loc, k_anchor = readout
         if onset_alpha >= _SMOOTH_ONSET or alpha < -0.35:
             continue  # smooth oscillation or pure-noise ridge
         if tail_alpha is not None and tail_alpha >= _SMOOTH_TAIL:

@@ -17,10 +17,6 @@ class TooFewScalesError(WavekitError):
     """Operation needs more scales than the grid provides."""
 
 
-class LineTooShortError(WavekitError):
-    """Maxima line has too few usable points for exponent regression."""
-
-
 class InvalidModelError(WavekitError):
     """IFS model is empty, non-contractive on average, or has bad probabilities."""
 

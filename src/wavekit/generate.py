@@ -161,7 +161,7 @@ def gen_eq11(n: int, sigma: float = 0.0, seed: int | None = None) -> TimeSeries:
     f = (2.0 * np.sin(4.0 * np.pi * x)
          - 6.0 * np.abs(x - 0.4) ** 0.3
          - 0.5 * np.sign(0.7 - x))
-    return TimeSeries(samples=_with_noise(f, sigma, seed), dt=dt)
+    return add_noise(TimeSeries(samples=f, dt=dt), NoiseSpec(sigma, seed))
 
 
 def gen_chirp_jump(n: int, sigma: float = 0.0, seed: int | None = None) -> TimeSeries:
@@ -176,19 +176,24 @@ def gen_chirp_jump(n: int, sigma: float = 0.0, seed: int | None = None) -> TimeS
     g = (2.0 * np.sin(2.0 * np.pi * (x + 2.0 * x * x))
          + 3.0 * (x >= 0.5)
          - 5.0 * np.abs(x - 0.6) ** 0.4)
-    return TimeSeries(samples=_with_noise(g, sigma, seed), dt=dt)
+    return add_noise(TimeSeries(samples=g, dt=dt), NoiseSpec(sigma, seed))
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive white Gaussian noise: std sigma, PCG64 seed."""
+    """Additive white Gaussian noise: std sigma, PCG64 seed.
+
+    The seed may be left out only when sigma is 0, which draws nothing.
+    """
 
     sigma: float
-    seed: int
+    seed: int | None
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise InvalidSignalError(f"sigma must be >= 0, got {self.sigma}")
+        if self.sigma > 0 and self.seed is None:
+            raise InvalidSignalError("a seed is required when sigma > 0")
 
 
 def add_noise(f: TimeSeries, spec: NoiseSpec) -> TimeSeries:
@@ -204,13 +209,3 @@ def _unit_grid(n: int):
         raise InvalidSignalError("need at least 2 samples")
     return np.linspace(0.0, 1.0, n), 1.0 / (n - 1)
 
-
-def _with_noise(f: np.ndarray, sigma: float, seed: int | None) -> np.ndarray:
-    if sigma < 0 or not np.isfinite(sigma):
-        raise InvalidSignalError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return f
-    if seed is None:
-        raise InvalidSignalError("a seed is required when sigma > 0")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return f + sigma * rng.standard_normal(f.size)

@@ -5,6 +5,11 @@ All text is written with explicit "\n" newlines and floats carry 17
 significant digits, so outputs are deterministic bytes and numeric
 round-trips are exact.
 
+Each JSON file is asdict() of one dataclass (SingularityReport,
+HurstEstimate, RunManifest) passed to write_json, which sorts its keys, so
+the schema of a file is the fields of its dataclass and this module keeps
+no field list of its own.
+
 The CSV and TSV writers format their rows in blocks: one %-template per
 block of at most _BLOCK_ROWS rows (one per scale for the scalogram, whose
 time column is formatted once), applied to a tuple of the block's values.
@@ -29,7 +34,7 @@ import json
 import math
 import mmap
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,35 +251,6 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def report_to_dict(report) -> dict:
-    return {
-        "events": [
-            {"location": e.location, "kind": e.kind, "strength": e.strength,
-             "alpha": e.alpha, "line_span_octaves": e.line_span_octaves}
-            for e in report.events
-        ],
-        "sigma_hat": report.sigma_hat,
-        "n_lines": report.n_lines,
-        "n_significant": report.n_significant,
-        "wavelet": report.wavelet,
-        "config": asdict(report.config),
-    }
-
-
-def estimate_to_dict(est) -> dict:
-    return {
-        "beta": est.beta,
-        "log_intercept": est.log_intercept,
-        "r_squared": est.r_squared,
-        "hurst": est.hurst,
-        "dimension": est.dimension,
-        "classification": est.classification,
-        "scale_range": list(est.scale_range),
-        "n_scales_used": est.n_scales_used,
-        "warnings": list(est.warnings),
-    }
-
-
 def write_covariance_tsv(path: str, r) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("# a\tvariance\tcount\n")
@@ -391,20 +367,8 @@ class RunManifest:
     version: str
 
 
-def write_run_manifest(path: str, m: RunManifest) -> None:
-    payload = {
-        "subcommand": m.subcommand,
-        "argv": list(m.argv),
-        "params": m.params,
-        "inputs": list(m.inputs),
-        "outputs": list(m.outputs),
-        "version": m.version,
-    }
-    write_json(path, payload)
-
-
 def read_run_manifest(path: str) -> RunManifest:
-    d = read_json(path)
-    return RunManifest(subcommand=d["subcommand"], argv=tuple(d["argv"]),
-                       params=d["params"], inputs=tuple(d["inputs"]),
-                       outputs=tuple(d["outputs"]), version=d["version"])
+    """The RunManifest whose asdict() was written to path; its keys are the
+    field names, and JSON gives the tuple fields back as lists."""
+    return RunManifest(**{k: tuple(v) if isinstance(v, list) else v
+                          for k, v in read_json(path).items()})

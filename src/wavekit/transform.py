@@ -64,7 +64,15 @@ class ScaleGrid:
         """Geometric grid a_min * 2^(j / voices) covering [a_min, a_max]."""
         if not (0 < a_min <= a_max):
             raise ValueError(f"need 0 < a_min <= a_max, got {a_min}, {a_max}")
-        octaves = np.log2(a_max / a_min)
+        # Python floats: a ratio past float64's range becomes inf unwarned
+        ratio = float(a_max) / float(a_min)
+        if not np.isfinite(ratio):
+            raise ValueError(
+                f"a_max / a_min must be finite, got {a_max} / {a_min}")
+        if not voices_per_octave > 0:
+            raise ValueError(
+                f"voices per octave must be positive, got {voices_per_octave}")
+        octaves = np.log2(ratio)
         count = int(np.floor(octaves * voices_per_octave + 1e-9)) + 1
         scales = a_min * 2.0 ** (np.arange(count) / voices_per_octave)
         return cls(scales=scales, voices_per_octave=float(voices_per_octave))
@@ -215,7 +223,12 @@ def _smooth_length(m: int) -> int:
 
 
 def _cone(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> np.ndarray:
-    return np.ceil(support_radius(w) * g.scales / f.dt).astype(np.int64)
+    """ceil(support_radius * a / dt) per scale, clipped in float to n (a
+    cone with no interior), so a huge scale neither warns of overflow nor
+    meets an undefined int64 cast."""
+    with np.errstate(over="ignore"):
+        width = np.minimum(support_radius(w) * g.scales / f.dt, f.n)
+    return np.ceil(width).astype(np.int64)
 
 
 def cwt_direct(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:

@@ -109,7 +109,13 @@ def support_radius(w: Wavelet) -> float:
 
 
 def by_name(name: str, omega0: float = 6.0) -> Wavelet:
-    """Look up a wavelet by its CLI name."""
+    """Look up a wavelet by its CLI name.
+
+    omega0 must be finite for every name, since the command line records
+    it in the run manifest, which is JSON, whatever the wavelet.
+    """
+    if not np.isfinite(omega0):
+        raise ValueError(f"omega0 must be finite, got {omega0}")
     if name == "mexican-hat":
         return MexicanHat()
     if name == "morlet":

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from wavekit import (DetectionConfig, ScaleGrid, TimeSeries, by_name, cwt_fft,
                      detect_singularities, gen_chirp_jump, modulus_maxima,
                      scalogram)
 from wavekit.cli import main
-from wavekit.io import (read_json, read_pgm, read_signal_csv, report_to_dict,
-                        write_json, write_maxima_tsv, write_scalogram_tsv,
+from wavekit.io import (read_json, read_pgm, read_signal_csv, write_json,
+                        write_maxima_tsv, write_scalogram_tsv,
                         write_signal_csv)
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -110,7 +111,7 @@ def test_analyze_dumps_match_the_library(tmp_path, wavelet):
     g = ScaleGrid.default_for(f)
     c = cwt_fft(f, w, g)
     want = {k: str(tmp_path / f"want.{k}") for k in got}
-    write_json(want["json"], report_to_dict(
+    write_json(want["json"], asdict(
         detect_singularities(f, w, g, DetectionConfig())))
     write_scalogram_tsv(want["s.tsv"], scalogram(c))
     write_maxima_tsv(want["m.tsv"], modulus_maxima(c))
@@ -340,6 +341,70 @@ def test_fbm_hurst_domain(tmp_path, capsys):
     assert main(["gen", "fbm", "--hurst", "1.5", "--seed", "1",
                  "--out", str(tmp_path / "b.csv")]) == 2
     assert "hurst" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("sweep_inputs")
+    chirp, fbm = str(d / "chirp.csv"), str(d / "fbm.csv")
+    assert main(["gen", "chirp-jump", "--n", "1024", "--out", chirp]) == 0
+    assert main(["gen", "fbm", "--hurst", "0.7", "--seed", "1",
+                 "--n", "1024", "--out", fbm]) == 0
+    return {"analyze": chirp, "estimate": fbm}
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+_EXTREMES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e20")
+_SWEEP = [(cmd, f"{flag}={value}")
+          for cmd, flags in (
+              ("analyze", ("--omega0", "--a-min", "--a-max", "--threshold",
+                           "--persistence", "--max-alpha")),
+              ("estimate", ("--omega0", "--a-min", "--a-max")))
+          for flag in flags for value in _EXTREMES]
+_SWEEP += [(cmd, f"--voices={v}") for cmd in ("analyze", "estimate")
+           for v in (0, -1)]
+
+
+@pytest.mark.parametrize("command, setting", _SWEEP)
+def test_extreme_settings_end_in_an_exit_code(tmp_path, sweep_inputs,
+                                              command, setting):
+    """Every float flag at NaN, the infinities and float64's edges ends in a
+    documented exit code, never a traceback or a warning, and every JSON
+    file it leaves is strict JSON; a refused run writes nothing."""
+    out = str(tmp_path / "out.json")
+    to = "--report" if command == "analyze" else "--json"
+    code = main([command, sweep_inputs[command], setting, to, out])
+    assert code in {0, 2, 4, 5}
+    written = sorted(os.listdir(tmp_path))
+    if code:
+        assert written == []
+    for name in written:
+        if name.endswith(".json"):
+            _strict_json(str(tmp_path / name))
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("analyze", "--omega0=nan", "omega0 must be finite"),
+    ("estimate", "--omega0=inf", "omega0 must be finite"),
+    ("analyze", "--a-max=inf", "a_max / a_min must be finite"),
+    ("analyze", "--a-max=1e308", "a_max / a_min must be finite"),
+    ("estimate", "--a-max=inf", "a_max / a_min must be finite"),
+    ("analyze", "--voices=0", "voices per octave must be positive"),
+    ("estimate", "--voices=-1", "voices per octave must be positive"),
+])
+def test_out_of_range_grid_and_wavelet_are_invalid_input(
+        tmp_path, capsys, sweep_inputs, command, setting, message):
+    to = "--report" if command == "analyze" else "--json"
+    assert main([command, sweep_inputs[command], setting, to,
+                 str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 # ------------------------------------------------------------------ memory

@@ -195,3 +195,11 @@ def test_noise_spec_rejects_negative_sigma():
         NoiseSpec(sigma=-1.0, seed=0)
     with pytest.raises(InvalidSignalError):
         NoiseSpec(sigma=np.inf, seed=0)
+
+
+def test_noise_spec_needs_a_seed_only_to_draw():
+    f = TimeSeries(samples=[1.0, 2.0, 3.0], dt=1.0)
+    assert np.array_equal(add_noise(f, NoiseSpec(sigma=0.0, seed=None)).samples,
+                          f.samples)
+    with pytest.raises(InvalidSignalError, match="seed is required"):
+        NoiseSpec(sigma=0.5, seed=None)

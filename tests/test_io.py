@@ -1,6 +1,6 @@
 import hashlib
-import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,11 +13,10 @@ from wavekit import (DetectionConfig, InvalidSignalError, MaximaSet,
                      WaveletAutoCovariance, barnsley_tree_model, chaos_game,
                      cwt_fft, detect_singularities, gen_chirp_jump,
                      modulus_maxima, scalogram, wavelet_autocovariance)
-from wavekit.io import (RunManifest, _fnum, estimate_to_dict, points_to_image,
-                        read_json, read_pgm, read_points_csv,
-                        read_run_manifest, read_signal_csv, report_to_dict,
-                        write_covariance_tsv, write_json, write_maxima_tsv,
-                        write_pgm, write_points_csv, write_run_manifest,
+from wavekit.io import (RunManifest, _fnum, points_to_image, read_json,
+                        read_pgm, read_points_csv, read_run_manifest,
+                        read_signal_csv, write_covariance_tsv, write_json,
+                        write_maxima_tsv, write_pgm, write_points_csv,
                         write_scalogram_tsv, write_signal_csv)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -194,29 +193,33 @@ def test_json_round_trip_and_layout(tmp_path):
     assert read_json(p) == payload
 
 
-def test_report_dict_shape():
+def test_report_dict_shape(tmp_path):
     rep = detect_singularities(gen_chirp_jump(1024), MexicanHat(),
                                config=DetectionConfig(max_alpha=2.0))
-    d = report_to_dict(rep)
+    p = str(tmp_path / "r.json")
+    write_json(p, asdict(rep))
+    d = read_json(p)
     assert set(d) == {"events", "sigma_hat", "n_lines", "n_significant",
                       "wavelet", "config"}
     assert d["config"]["max_alpha"] == 2.0
     assert d["config"]["threshold_multiplier"] == 3.0
+    assert len(d["events"]) == len(rep.events) > 0
     for ev in d["events"]:
         assert set(ev) == {"location", "kind", "strength", "alpha",
                            "line_span_octaves"}
-    assert json.dumps(d)  # JSON-serializable as is
 
 
-def test_estimate_dict_shape(small_transform):
+def test_estimate_dict_shape(tmp_path, small_transform):
     from wavekit import fit_power_law
-    d = estimate_to_dict(fit_power_law(wavelet_autocovariance(small_transform)))
+    est = fit_power_law(wavelet_autocovariance(small_transform))
+    p = str(tmp_path / "e.json")
+    write_json(p, asdict(est))
+    d = read_json(p)
     assert set(d) == {"beta", "log_intercept", "r_squared", "hurst",
                       "dimension", "classification", "scale_range",
                       "n_scales_used", "warnings"}
-    assert isinstance(d["scale_range"], list)
-    assert isinstance(d["warnings"], list)
-    assert json.dumps(d)
+    assert d["scale_range"] == list(est.scale_range)
+    assert d["warnings"] == list(est.warnings)
 
 
 # -------------------------------------------------------------- PGM images
@@ -369,12 +372,13 @@ def test_density_image_rejects_bad_dims():
 def test_manifest_round_trip(tmp_path):
     m = RunManifest(subcommand="analyze",
                     argv=("analyze", "f.csv", "--report", "r.json"),
-                    params={"threshold": 3.0, "max_alpha": None},
+                    params={"threshold": 3.0, "max_alpha": None,
+                            "bbox": [-3.0, 3.0, 0.0, 10.0]},
                     inputs=("f.csv",),
                     outputs=("r.json",),
                     version="0.1.0")
     p = str(tmp_path / "run.manifest.json")
-    write_run_manifest(p, m)
+    write_json(p, asdict(m))
     assert read_run_manifest(p) == m
 
 

@@ -6,6 +6,7 @@ explicit integer seed, so repeated calls reproduce bit-identical output.
 
 from __future__ import annotations
 
+import array
 import warnings
 from dataclasses import dataclass
 
@@ -89,14 +90,16 @@ def chaos_game(m: IfsModel, n: int, seed: int, burn_in: int = 100,
     idx = np.minimum(idx, len(m.maps) - 1)
 
     coeffs = [(mp.a, mp.b, mp.c, mp.d, mp.e, mp.f) for mp in m.maps]
-    pts = np.empty((n, 2), dtype=np.float64)
+    xy = array.array("d")
     x, y = float(x0[0]), float(x0[1])
-    for step in range(total):
-        a, b, c, d, e, f = coeffs[idx[step]]
+    for step, k in enumerate(idx.tolist()):
+        a, b, c, d, e, f = coeffs[k]
         x, y = a * x + b * y + e, c * x + d * y + f
         if step >= burn_in:
-            pts[step - burn_in, 0] = x
-            pts[step - burn_in, 1] = y
+            xy.append(x)
+            xy.append(y)
+    # a view of the array's buffer, which the result keeps alive
+    pts = np.frombuffer(xy, dtype=np.float64).reshape(n, 2)
 
     counts = np.bincount(idx[burn_in:], minlength=len(m.maps))
     return PointCloud(points=pts, seed=seed, burn_in=burn_in, map_counts=counts)
@@ -118,6 +121,10 @@ def gen_fbm(hurst: float, n: int, seed: int, dt: float = 1.0) -> TimeSeries:
     cumulative sum (scaled by dt^H) gives the motion. Should the embedding
     ever fail to be nonnegative-definite, negative eigenvalues are clipped and
     the spectrum rescaled (approximate synthesis), with a warning.
+
+    Working memory is about 80 bytes per sample beside the 8-byte-per-sample
+    result: the steps run in place on one length-2n complex array and one
+    length-2n real array, plus the FFTs' outputs.
     """
     if not (np.isfinite(hurst) and 0.0 < hurst < 1.0):
         raise InvalidHurstError(f"hurst must lie in (0, 1), got {hurst}")
@@ -126,26 +133,39 @@ def gen_fbm(hurst: float, n: int, seed: int, dt: float = 1.0) -> TimeSeries:
     if dt <= 0:
         raise InvalidSignalError("dt must be positive")
 
+    # fft casts a real input to complex anyway, so the circulant is built
+    # complex; each array is dropped once the next step has what it needs
     gamma = _fgn_covariance(hurst, n)
-    c = np.concatenate([gamma, [0.0], gamma[-1:0:-1]])
-    eigs = np.fft.fft(c).real
-    if eigs.min() < -1e-12 * max(eigs.max(), 1.0):
+    c = np.zeros(2 * n, dtype=np.complex128)
+    c.real[:n] = gamma
+    c.real[n + 1:] = gamma[-1:0:-1]
+    del gamma
+    raw = np.fft.fft(c).real
+    del c
+    eigs = np.clip(raw, 0.0, None)
+    if raw.min() < -1e-12 * max(raw.max(), 1.0):
         warnings.warn("circulant embedding not nonnegative-definite; "
                       "falling back to approximate spectral synthesis "
                       "(negative eigenvalues clipped)", RuntimeWarning)
-        pos = np.clip(eigs, 0.0, None)
-        eigs = pos * (eigs.sum() / pos.sum())
-    else:
-        eigs = np.clip(eigs, 0.0, None)
+        eigs *= raw.sum() / eigs.sum()
+    del raw
 
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.standard_normal(2 * n)
-    half = np.empty(n + 1, dtype=np.complex128)
-    half[0] = u[0]
-    half[n] = u[1]
-    half[1:n] = (u[2:n + 1] + 1j * u[n + 1:]) / np.sqrt(2.0)
-    z = np.concatenate([half, np.conj(half[n - 1:0:-1])])
-    fgn = np.sqrt(2.0 * n) * np.fft.ifft(np.sqrt(eigs) * z).real[:n]
+    z = np.empty(2 * n, dtype=np.complex128)
+    z[0] = u[0]
+    z[n] = u[1]
+    z.real[1:n] = u[2:n + 1]
+    z.imag[1:n] = u[n + 1:]
+    del u
+    z[1:n] /= np.sqrt(2.0)
+    np.conjugate(z[n - 1:0:-1], out=z[n + 1:])
+    # real operand first: with FMA the operand order sets the last bit of
+    # each complex product
+    np.multiply(np.sqrt(eigs, out=eigs), z, out=z)
+    del eigs
+    fgn = np.sqrt(2.0 * n) * np.fft.ifft(z).real[:n]
+    del z
 
     samples = np.cumsum(fgn) * dt ** hurst
     return TimeSeries(samples=samples, dt=dt)

@@ -22,10 +22,14 @@ memory-mapped scan first checks that every '#' begins its line (after
 blanks): loadtxt would cut a line at any '#', while these formats allow
 comments only as whole lines. When the scan finds such a '#', or loadtxt
 refuses the file or finds a column count the format does not allow, one
-per-line loop parses the file again. That loop is the only source of
-error messages, which name file:line, and it also takes the rare forms
-float() accepts and loadtxt does not ("1_0", non-ASCII digits, blank
-lines holding whitespace). Both routes give the same float64 values.
+per-line loop parses the file again. Before that, a file loadtxt refuses
+is tried once more with its blank and comment-only lines dropped, the
+lines the per-line loop skips: loadtxt refuses a line that holds only
+whitespace, which is also what an indented comment leaves once its '#'
+is cut, and one such line would otherwise send a long file to the loop.
+That loop is the only source of error messages, which name file:line,
+and it also takes the rare forms float() accepts and loadtxt does not
+("1_0", non-ASCII digits). All routes give the same float64 values.
 """
 
 from __future__ import annotations
@@ -155,17 +159,27 @@ def _table(path: str, widths: tuple, bad_width: str,
     differs from the first's.
     """
     if _comments_are_whole_lines(path):
-        with open(path) as fh, warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                table = np.loadtxt(fh, delimiter=",", comments="#",
-                                   dtype=np.float64, ndmin=2)
-            except ValueError:
-                table = None
+        with open(path) as fh:
+            table = _loadtxt(fh)
+        if table is None:
+            with open(path) as fh:
+                table = _loadtxt(line for line in fh
+                                 if line.strip()[:1] not in ("", "#"))
         if table is not None and table.shape[1] in widths:
             return table
     return _rows(path, widths, bad_width, inconsistent)
+
+
+def _loadtxt(lines) -> np.ndarray | None:
+    """The lines as an (n, k) float64 table, or None if loadtxt refuses them."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(lines, delimiter=",", comments="#",
+                              dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
 
 
 def _comments_are_whole_lines(path: str) -> bool:

@@ -143,7 +143,7 @@ def wavelet_variance(f: TimeSeries, wavelet: Wavelet, grid: ScaleGrid,
     a too-fine grid (ScaleTooFineError) and then a scale the cone swallows
     (NoValidSamplesError) are refused before any FFT runs.
     """
-    _check_grid(f, grid)
+    _check_grid(f, wavelet, grid)
     values, counts, add = _row_reducer(grid.scales, _cone(f, wavelet, grid),
                                        f.n, config or EstimationConfig())
     _fft_rows(f, wavelet, grid, add)

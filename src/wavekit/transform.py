@@ -32,6 +32,7 @@ row's largest |W| and the finest row): detection needs no CwtMatrix.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -185,10 +186,18 @@ class MaximaSet:
         return self.line_offsets.size - 1
 
 
-def _check_grid(f: TimeSeries, g: ScaleGrid) -> None:
+def _check_grid(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> None:
+    """Refuse a grid finer than 2 dt (ScaleTooFineError), or one whose
+    coarsest scale reaches further than float64 holds in samples
+    (ValueError): every count of samples taken from a / dt is then finite."""
     if g.a_min < 2.0 * f.dt * (1.0 - 1e-12):
         raise ScaleTooFineError(
             f"finest scale {g.a_min:g} is below 2*dt = {2 * f.dt:g}")
+    # Python floats: a reach past float64's range becomes inf unwarned
+    if not math.isfinite(support_radius(w) * g.a_max / f.dt):
+        raise ValueError(
+            f"coarsest scale {g.a_max:g} spans {support_radius(w):g} * a / dt "
+            f"samples at dt = {f.dt:g}, more than float64 holds")
 
 
 def _kernel(w: Wavelet, a: float, dt: float, n: int):
@@ -223,17 +232,15 @@ def _smooth_length(m: int) -> int:
 
 
 def _cone(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> np.ndarray:
-    """ceil(support_radius * a / dt) per scale, clipped in float to n (a
-    cone with no interior), so a huge scale neither warns of overflow nor
-    meets an undefined int64 cast."""
-    with np.errstate(over="ignore"):
-        width = np.minimum(support_radius(w) * g.scales / f.dt, f.n)
+    """ceil(support_radius * a / dt) per scale, clipped to n (a cone with
+    no interior); _check_grid has bounded the widths to float64."""
+    width = np.minimum(support_radius(w) * g.scales / f.dt, f.n)
     return np.ceil(width).astype(np.int64)
 
 
 def cwt_direct(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
     """Time-domain rectangle-rule CWT; the oracle route."""
-    _check_grid(f, g)
+    _check_grid(f, w, g)
     x = f.samples
     n = f.n
     dtype = np.complex128 if w.is_complex else np.float64
@@ -267,7 +274,7 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit) -> None:
     depend on the worker count: each row runs the same numpy calls on the
     same inputs as a serial loop would.
     """
-    _check_grid(f, g)
+    _check_grid(f, w, g)
     x = f.samples
     n = f.n
     fft, ifft = (np.fft.fft, np.fft.ifft) if w.is_complex else \

@@ -407,6 +407,18 @@ def test_out_of_range_grid_and_wavelet_are_invalid_input(
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command", ["analyze", "estimate"])
+def test_a_scale_past_float64_in_samples_is_invalid_input(
+        tmp_path, capsys, sweep_inputs, command):
+    """On the dt = 1 fBm record, --a-max=1e308 keeps a_max / a_min finite
+    but not the 8 a / dt samples the kernel spans: exit 2, nothing written."""
+    to = "--report" if command == "analyze" else "--json"
+    assert main([command, sweep_inputs["estimate"], "--a-max=1e308", to,
+                 str(tmp_path / "out.json")]) == 2
+    assert "more than float64 holds" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 # ------------------------------------------------------------------ memory
 
 # runs `python -m wavekit` as the child's main module, then prints the

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from wavekit import (AffineMap, IfsModel, InvalidHurstError,
                      InvalidModelError, InvalidSignalError, NoiseSpec,
                      TimeSeries, add_noise, barnsley_tree_model, chaos_game,
                      gen_chirp_jump, gen_eq11, gen_fbm)
+from wavekit.generate import _fgn_covariance
 
 
 # ------------------------------------------------------------ test signals
@@ -90,6 +94,67 @@ def test_fbm_rejects_bad_grid():
         gen_fbm(hurst=0.5, n=64, seed=0, dt=0.0)
 
 
+def _reference_gen_fbm(hurst, n, seed, dt=1.0):
+    """The allocate-per-step synthesis gen_fbm replaced, kept as its bit
+    reference; returns the samples."""
+    gamma = _fgn_covariance(hurst, n)
+    c = np.concatenate([gamma, [0.0], gamma[-1:0:-1]])
+    eigs = np.fft.fft(c).real
+    if eigs.min() < -1e-12 * max(eigs.max(), 1.0):
+        warnings.warn("circulant embedding not nonnegative-definite; "
+                      "falling back to approximate spectral synthesis "
+                      "(negative eigenvalues clipped)", RuntimeWarning)
+        pos = np.clip(eigs, 0.0, None)
+        eigs = pos * (eigs.sum() / pos.sum())
+    else:
+        eigs = np.clip(eigs, 0.0, None)
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = rng.standard_normal(2 * n)
+    half = np.empty(n + 1, dtype=np.complex128)
+    half[0] = u[0]
+    half[n] = u[1]
+    half[1:n] = (u[2:n + 1] + 1j * u[n + 1:]) / np.sqrt(2.0)
+    z = np.concatenate([half, np.conj(half[n - 1:0:-1])])
+    fgn = np.sqrt(2.0 * n) * np.fft.ifft(np.sqrt(eigs) * z).real[:n]
+    return np.cumsum(fgn) * dt ** hurst
+
+
+_FBM_CASES = [(n, hurst, 1.0)
+              for n in (2, 3, 17, 256, 1000, 4096, 65536, 262144)
+              for hurst in (0.1, 0.5, 0.7, 0.95)]
+_FBM_CASES += [(4096, hurst, 0.5) for hurst in (0.1, 0.5, 0.7, 0.95)]
+
+
+@pytest.mark.parametrize("n, hurst, dt", _FBM_CASES)
+def test_fbm_bytes_match_the_reference(n, hurst, dt):
+    """Same bits as the reference, and the same warning exactly when the
+    embedding needs its negative eigenvalues clipped (H = 0.95 here)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        want = _reference_gen_fbm(hurst, n, seed=7, dt=dt)
+    if caught:
+        with pytest.warns(RuntimeWarning, match="not nonnegative-definite"):
+            f = gen_fbm(hurst=hurst, n=n, seed=7, dt=dt)
+    else:
+        f = gen_fbm(hurst=hurst, n=n, seed=7, dt=dt)
+    assert f.samples.tobytes() == want.tobytes()
+    assert bool(caught) == (hurst == 0.95)
+
+
+def test_fbm_working_memory_per_sample():
+    """Peak traced memory, the result included, stays at most 100 bytes per
+    sample (the reference traces about 180)."""
+    n = 2 ** 16
+    tracemalloc.start()
+    try:
+        gen_fbm(hurst=0.7, n=n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 100
+
+
 def test_fbm_increment_statistics():
     """Pooled over 100 seeds: increment variance grows like lag^(2H) and
     the lag-1 increment correlation sits at 2^(2H-1) - 1."""
@@ -162,6 +227,31 @@ def test_chaos_game_burn_in_drops_a_prefix():
     full = chaos_game(m, n=1100, seed=12, burn_in=0)
     tail = chaos_game(m, n=1000, seed=12, burn_in=100)
     assert np.array_equal(full.points[100:], tail.points)
+
+
+def _reference_chaos_game(m, n, seed, burn_in=100):
+    """The per-step numpy-store loop chaos_game replaced; its points."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cum = np.cumsum(np.asarray(m.probabilities, dtype=np.float64))
+    idx = np.searchsorted(cum, rng.random(burn_in + n), side="right")
+    idx = np.minimum(idx, len(m.maps) - 1)
+    pts = np.empty((n, 2), dtype=np.float64)
+    x = y = 0.0
+    for step in range(burn_in + n):
+        x, y = m.maps[idx[step]].apply(x, y)
+        if step >= burn_in:
+            pts[step - burn_in] = x, y
+    return pts
+
+
+@pytest.mark.parametrize("n, seed, burn_in", [(1, 2, 0), (5000, 3, 0),
+                                              (20000, 1, 100)])
+def test_chaos_game_matches_the_reference_loop(n, seed, burn_in):
+    m = barnsley_tree_model()
+    cloud = chaos_game(m, n=n, seed=seed, burn_in=burn_in)
+    want = _reference_chaos_game(m, n, seed, burn_in)
+    assert cloud.points.shape == (n, 2) and cloud.points.dtype == np.float64
+    assert cloud.points.tobytes() == want.tobytes()
 
 
 def test_chaos_game_rejects_bad_counts():

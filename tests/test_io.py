@@ -692,17 +692,18 @@ def test_readers_round_trip_seventeen_digits_at_64k(tmp_path):
         _assert_readers_agree(path)
 
 
-def test_clean_files_skip_the_line_loop(tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("line loop called")
+def _refuse_line_loop(*args):
+    raise AssertionError("line loop called")
 
+
+def test_clean_files_skip_the_line_loop(tmp_path, monkeypatch):
     sig, cloud = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
     write_signal_csv(sig, gen_chirp_jump(300))
     write_points_csv(cloud, chaos_game(barnsley_tree_model(), n=300,
                                        seed=1).points)
     hashes = tmp_path / "hashes.csv"
     hashes.write_text("## title # more\n# x,y\n0,1\n1,2 \n## end\n")
-    monkeypatch.setattr(wavekit.io, "_rows", refuse)
+    monkeypatch.setattr(wavekit.io, "_rows", _refuse_line_loop)
     assert read_signal_csv(sig).n == 300
     assert read_points_csv(cloud).shape == (300, 2)
     assert read_points_csv(str(hashes)).shape == (2, 2)
@@ -710,3 +711,23 @@ def test_clean_files_skip_the_line_loop(tmp_path, monkeypatch):
     p.write_text("0,1\n1,2 # note\n")
     with pytest.raises(AssertionError, match="line loop called"):
         read_signal_csv(str(p))
+
+
+def test_blank_and_indented_comment_lines_skip_the_line_loop(tmp_path,
+                                                             monkeypatch):
+    """loadtxt refuses a whitespace-only line and an indented comment; the
+    retry without them gives the values of the file without them."""
+    clean = tmp_path / "clean.csv"
+    write_signal_csv(str(clean), gen_chirp_jump(300))
+    lines = clean.read_text().splitlines(keepends=True)
+    noisy = tmp_path / "noisy.csv"
+    noisy.write_text("".join(lines[:100] + [" \t \n", "  # note\n"]
+                             + lines[100:] + ["\t# end\n", "   \n"]))
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("  # x,y\n0,1\n \n1,2\n")
+    want = read_signal_csv(str(clean))
+    monkeypatch.setattr(wavekit.io, "_rows", _refuse_line_loop)
+    got = read_signal_csv(str(noisy))
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert (got.dt, got.t0) == (want.dt, want.t0)
+    assert read_points_csv(str(cloud)).tolist() == [[0.0, 1.0], [1.0, 2.0]]

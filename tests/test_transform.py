@@ -14,7 +14,8 @@ from scipy.integrate import quad
 
 from wavekit import (CwtMatrix, Haar, MexicanHat, Morlet, ScaleGrid,
                      ScaleTooFineError, TimeSeries, cwt_direct, cwt_fft,
-                     cwt_maxima, modulus_maxima, scalogram, support_radius)
+                     cwt_maxima, modulus_maxima, scalogram, support_radius,
+                     wavelet_variance)
 from wavekit import transform
 from wavekit.transform import (_check_grid, _fft_rows, _kernel, _links, _match,
                                _smooth_length)
@@ -79,11 +80,25 @@ def test_transform_refuses_subsample_scales():
         cwt_direct(f, MexicanHat(), g)
 
 
+@pytest.mark.parametrize("w", WAVELETS)
+def test_transform_refuses_a_reach_past_float64(w):
+    """a_max * support / dt past float64 is refused on every CWT route
+    before any sample count is taken from it."""
+    f = _noise(64, 1, dt=0.5)
+    reach = sys.float_info.max / support_radius(w)
+    g = ScaleGrid(scales=np.array([2.0, reach]), voices_per_octave=1.0)
+    for route in (cwt_fft, cwt_direct, cwt_maxima, wavelet_variance):
+        with pytest.raises(ValueError, match="more than float64 holds"):
+            route(f, w, g)
+    fine = ScaleGrid(scales=np.array([2.0, reach / 4.0]), voices_per_octave=1.0)
+    _check_grid(f, w, fine)
+
+
 # ------------------------------------------------------ rows on a pool
 
 def _serial_cwt_fft(f, w, g):
     """The one-thread cwt_fft loop, kept as the bit reference for the pool."""
-    _check_grid(f, g)
+    _check_grid(f, w, g)
     x = f.samples
     n = f.n
     dtype = np.complex128 if w.is_complex else np.float64

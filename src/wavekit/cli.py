@@ -26,8 +26,8 @@ from .io import (RunManifest, points_to_image, read_points_csv,
                  read_signal_csv, write_covariance_tsv, write_json,
                  write_maxima_tsv, write_pgm, write_points_csv,
                  write_scalogram_tsv, write_signal_csv)
-from .selfsim import (EstimationConfig, estimation_grid, fit_power_law,
-                      require_estimable, require_fit_grid, wavelet_variance)
+from .selfsim import (estimation_grid, fit_power_law, require_estimable,
+                      require_fit_grid, wavelet_variance)
 from .transform import (ScaleGrid, cwt_fft, cwt_maxima, modulus_maxima,
                         scalogram)
 from .wavelets import by_name
@@ -36,6 +36,9 @@ _BAD_INPUT = (InvalidSignalError, InvalidModelError, InvalidHurstError,
               OutOfRangeError, ValueError)
 _BAD_GRID = (ScaleTooFineError, TooFewScalesError)
 _DEGENERATE = (DegenerateFitError, NoValidSamplesError)
+# rasterize's largest image side: points_to_image peaks at about 25 bytes
+# a pixel, so a 4096 x 4096 image takes about 420 MB
+_MAX_IMAGE_SIDE = 4096
 
 
 def main(argv=None) -> int:
@@ -216,9 +219,9 @@ def _cmd_analyze(args) -> None:
     # the scale x time matrix is held only when it is to be written
     if args.scalogram:
         c = cwt_fft(f, w, g)
-        maxima = modulus_maxima(c, cfg.min_amplitude_fraction)
+        maxima = modulus_maxima(c)
     else:
-        maxima = cwt_maxima(f, w, g, cfg.min_amplitude_fraction)
+        maxima = cwt_maxima(f, w, g)
     report = detect_from_maxima(maxima, cfg)
 
     outputs = []
@@ -251,9 +254,8 @@ def _cmd_estimate(args) -> None:
     w = by_name(args.wavelet, omega0=args.omega0)
     g = _grid_for(args, f, estimation_grid)
     require_fit_grid(g)
-    cfg = EstimationConfig()
-    r = wavelet_variance(f, w, g, cfg)
-    est = fit_power_law(r, cfg)
+    r = wavelet_variance(f, w, g)
+    est = fit_power_law(r)
 
     write_json(args.json, asdict(est))
     outputs = [args.json]
@@ -276,6 +278,10 @@ def _cmd_rasterize(args) -> None:
     if args.width < 16 or args.height < 16:
         raise InvalidSignalError(
             f"image must be at least 16x16, got {args.width}x{args.height}")
+    if max(args.width, args.height) > _MAX_IMAGE_SIDE:
+        raise InvalidSignalError(
+            f"--width and --height must be at most {_MAX_IMAGE_SIDE}, "
+            f"got {args.width}x{args.height}")
     pts = read_points_csv(args.input)
     bbox = tuple(args.bbox) if args.bbox else None
     img = points_to_image(pts, args.width, args.height, bbox)

@@ -30,20 +30,19 @@ from .transform import MaximaSet, ScaleGrid, cwt_maxima
 
 # relative dust floor: ignores maxima born purely of float roundoff
 _DUST = 1e-10
+# the fixed readout, which DetectionConfig records
+_FINE_SCALE_COUNT = 4
+_FIT_OCTAVES = 3.0
 
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Tuning knobs for detect_singularities.
+    """Settings of detect_singularities, as its report records them.
 
     threshold_multiplier  line points count as significant above this many
                           robust noise sigmas
     persistence_octaves   significant stretch must span at least this many
                           octaves of scale
-    fine_scale_count      how many of a line's finest significant points
-                          feed the reported event strength
-    fit_octaves           width of the window above the anchor used for
-                          the exponent regression
     max_alpha             drop lines whose exponent reads at or above this;
                           singular behaviour lives at alpha < 1, so 1.0 here
                           rejects smooth structure that slipped the onset
@@ -51,21 +50,25 @@ class DetectionConfig:
                           heavy noise a true cusp's read can inflate past 1
                           and locations still matter even when exponents
                           are unreliable.
-    min_amplitude_fraction  per-scale maxima below this fraction of the row
-                          maximum are not chained at all
+
+    The other three fields record the fixed readout and cannot be set:
+    fine_scale_count, how many of a line's finest significant points feed
+    its event strength; fit_octaves, the width of the exponent fit window
+    above a line's anchor; min_amplitude_fraction, 0 as every per-scale
+    maximum is chained.
     """
 
     threshold_multiplier: float = 3.0
     persistence_octaves: float = 2.0
-    fine_scale_count: int = 4
-    fit_octaves: float = 3.0
+    fine_scale_count: int = field(default=_FINE_SCALE_COUNT, init=False)
+    fit_octaves: float = field(default=_FIT_OCTAVES, init=False)
     max_alpha: float | None = None
-    min_amplitude_fraction: float = 0.0
+    min_amplitude_fraction: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         # reports and manifests are JSON, which has no NaN or Infinity
         for name in ("threshold_multiplier", "persistence_octaves",
-                     "fit_octaves", "max_alpha"):
+                     "max_alpha"):
             value = getattr(self, name)
             if not (name == "max_alpha" and value is None) and \
                     not np.isfinite(value):
@@ -163,7 +166,7 @@ def _pairwise_slope(la: np.ndarray, lv: np.ndarray) -> float:
 
 
 def _line_readout(lines: _Lines, s: slice, thr: float, loc_floor: float,
-                  fit_octaves: float, dt: float):
+                  dt: float):
     """Anchor, classify and locate the maxima line at slice s of lines.
 
     The anchor is the finest pair of consecutive above-threshold points
@@ -176,7 +179,7 @@ def _line_readout(lines: _Lines, s: slice, thr: float, loc_floor: float,
     steepness, while a singularity's decay never gets that steep. The
     tail slope, over the coarsest stretch of the fit window, catches the
     same rise when a noisy anchor blurred the onset. The kind slope,
-    over the whole fit_octaves window, has the long baselines that
+    over the whole window of _FIT_OCTAVES, has the long baselines that
     average single-point noise down to where jumps and cusps separate.
     The location walks down from the anchor while the line stays above
     the location floor and within one anchor scale of the anchor's
@@ -209,7 +212,7 @@ def _line_readout(lines: _Lines, s: slice, thr: float, loc_floor: float,
                                   np.log(values[onset])) - 0.5
 
     wide = sig & (a >= a[anchor])
-    wide &= a <= a[anchor] * 2.0 ** fit_octaves * (1.0 + 1e-12)
+    wide &= a <= a[anchor] * 2.0 ** _FIT_OCTAVES * (1.0 + 1e-12)
     alpha = _pairwise_slope(np.log(a[wide]), np.log(values[wide])) - 0.5
 
     a_top = a[wide].max()
@@ -236,10 +239,8 @@ def detect_singularities(f: TimeSeries, wavelet, grid: ScaleGrid | None = None,
     found row by row as cwt_maxima computes them and chained into lines,
     then detect_from_maxima on them.
     """
-    cfg = config or DetectionConfig()
     return detect_from_maxima(
-        cwt_maxima(f, wavelet, grid or ScaleGrid.default_for(f),
-                   cfg.min_amplitude_fraction), cfg)
+        cwt_maxima(f, wavelet, grid or ScaleGrid.default_for(f)), config)
 
 
 def detect_from_maxima(maxima: MaximaSet,
@@ -248,9 +249,7 @@ def detect_from_maxima(maxima: MaximaSet,
 
     Robust noise level from the finest-scale row, persistence gate,
     exponent estimate, classification, then a scale-aware merge that
-    collapses the twin ridges a jump throws off either flank. maxima must
-    come from modulus_maxima or cwt_maxima with
-    config.min_amplitude_fraction.
+    collapses the twin ridges a jump throws off either flank.
     """
     cfg = config or DetectionConfig()
     m = maxima
@@ -272,8 +271,7 @@ def detect_from_maxima(maxima: MaximaSet,
         if span < cfg.persistence_octaves:
             continue
         n_sig += 1
-        readout = _line_readout(lines, s, thr, loc_floor, cfg.fit_octaves,
-                                m.dt)
+        readout = _line_readout(lines, s, thr, loc_floor, m.dt)
         if readout is None:
             continue
         onset_alpha, tail_alpha, alpha, k_loc, k_anchor = readout
@@ -288,7 +286,7 @@ def detect_from_maxima(maxima: MaximaSet,
         i_loc = int(lines.time_idx[s][k_loc])
         a_anchor = float(a[k_anchor])
 
-        ks = np.nonzero(values >= thr)[0][:cfg.fine_scale_count]
+        ks = np.nonzero(values >= thr)[0][:_FINE_SCALE_COUNT]
         strength = float((values[ks] ** 2 / a[ks]).max())
 
         candidates.append((i_loc, a_anchor, strength, alpha,

@@ -73,9 +73,9 @@ def barnsley_tree_model() -> IfsModel:
     return IfsModel(maps=maps, probabilities=(0.01, 0.85, 0.07, 0.07), name="barnsley")
 
 
-def chaos_game(m: IfsModel, n: int, seed: int, burn_in: int = 100,
-               x0: tuple = (0.0, 0.0)) -> PointCloud:
-    """Run the random-iteration algorithm and keep n points after burn_in.
+def chaos_game(m: IfsModel, n: int, seed: int, burn_in: int = 100) -> PointCloud:
+    """Run the random-iteration algorithm from the origin and keep n points
+    after burn_in.
 
     Map k is selected when the uniform draw falls in the k-th slot of the
     cumulative probability partition. map_counts tallies selections over the
@@ -91,7 +91,7 @@ def chaos_game(m: IfsModel, n: int, seed: int, burn_in: int = 100,
 
     coeffs = [(mp.a, mp.b, mp.c, mp.d, mp.e, mp.f) for mp in m.maps]
     xy = array.array("d")
-    x, y = float(x0[0]), float(x0[1])
+    x, y = 0.0, 0.0
     for step, k in enumerate(idx.tolist()):
         a, b, c, d, e, f = coeffs[k]
         x, y = a * x + b * y + e, c * x + d * y + f
@@ -130,8 +130,8 @@ def gen_fbm(hurst: float, n: int, seed: int, dt: float = 1.0) -> TimeSeries:
         raise InvalidHurstError(f"hurst must lie in (0, 1), got {hurst}")
     if n < 2:
         raise InvalidSignalError("need at least 2 samples")
-    if dt <= 0:
-        raise InvalidSignalError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise InvalidSignalError(f"dt must be positive and finite, got {dt}")
 
     # fft casts a real input to complex anyway, so the circulant is built
     # complex; each array is dropped once the next step has what it needs

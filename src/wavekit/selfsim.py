@@ -27,16 +27,12 @@ _MIN_SAMPLES = 256
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Controls for wavelet_autocovariance, wavelet_variance and fit_power_law.
+    """Controls for fit_power_law.
 
-    exclude_cone   drop coefficients inside the cone of influence before
-                   averaging (recommended; boundary response biases the
-                   coarse scales upward)
     fixed_range    (a_lo, a_hi) to fit over, or None for the automatic
                    choice that trims one octave off each end of the grid
     """
 
-    exclude_cone: bool = True
     fixed_range: tuple | None = None
 
 
@@ -95,38 +91,36 @@ def require_fit_grid(g: ScaleGrid) -> None:
         raise TooFewScalesError(f"{g.n_scales} scales cannot support a fit")
 
 
-def _row_reducer(scales: np.ndarray, cone: np.ndarray, n: int,
-                 cfg: EstimationConfig):
+def _row_reducer(scales: np.ndarray, cone: np.ndarray, n: int):
     """(values, counts, add) for rows of n coefficients, one per scale.
 
-    add(j, row) stores the mean |W|^2 of row j over the columns cfg keeps,
-    in any order and from any thread. The first scale that keeps no column
-    raises NoValidSamplesError here, before any row arrives.
+    add(j, row) stores the mean |W|^2 of row j over its columns outside
+    the cone of influence, [k, n - k) for a cone k samples wide: boundary
+    response biases the coarse scales upward. It runs in any order and
+    from any thread. The first scale that keeps no column raises
+    NoValidSamplesError here, before any row arrives.
     """
-    ranges = []
-    for a, k in zip(scales, cone.tolist()):
-        lo, hi = (k, n - k) if cfg.exclude_cone else (0, n)
-        if lo >= hi:
+    widths = cone.tolist()
+    for a, k in zip(scales, widths):
+        if k >= n - k:
             raise NoValidSamplesError(
                 f"scale {a:.6g} leaves no samples outside the cone "
                 f"of influence; shrink the grid ceiling")
-        ranges.append((lo, hi))
     values = np.empty(scales.size)
-    counts = np.array([hi - lo for lo, hi in ranges], dtype=np.int64)
+    counts = np.array([n - 2 * k for k in widths], dtype=np.int64)
 
     def add(j, row):
-        lo, hi = ranges[j]
-        values[j] = np.mean(np.abs(row[lo:hi]) ** 2)
+        k = widths[j]
+        values[j] = np.mean(np.abs(row[k:n - k]) ** 2)
 
     return values, counts, add
 
 
-def wavelet_autocovariance(c: CwtMatrix,
-                           config: EstimationConfig | None = None) -> WaveletAutoCovariance:
-    """Average |W(a, b)|^2 over b at each scale."""
+def wavelet_autocovariance(c: CwtMatrix) -> WaveletAutoCovariance:
+    """Average |W(a, b)|^2 over b outside the cone of influence at each
+    scale."""
     n = len(c.times)
-    values, counts, add = _row_reducer(c.scales, c.cone_of_influence, n,
-                                       config or EstimationConfig())
+    values, counts, add = _row_reducer(c.scales, c.cone_of_influence, n)
     for j, row in enumerate(c.coefficients):
         add(j, row)
     return WaveletAutoCovariance(scales=c.scales.copy(), values=values,
@@ -134,9 +128,9 @@ def wavelet_autocovariance(c: CwtMatrix,
                                  n_samples=n, dt=c.dt)
 
 
-def wavelet_variance(f: TimeSeries, wavelet: Wavelet, grid: ScaleGrid,
-                     config: EstimationConfig | None = None) -> WaveletAutoCovariance:
-    """wavelet_autocovariance(cwt_fft(f, wavelet, grid), config), streamed.
+def wavelet_variance(f: TimeSeries, wavelet: Wavelet,
+                     grid: ScaleGrid) -> WaveletAutoCovariance:
+    """wavelet_autocovariance(cwt_fft(f, wavelet, grid)), streamed.
 
     Each cwt_fft row is reduced as it is computed and then dropped, so the
     scale x time matrix is never held. The result is the same to the bit;
@@ -145,7 +139,7 @@ def wavelet_variance(f: TimeSeries, wavelet: Wavelet, grid: ScaleGrid,
     """
     _check_grid(f, wavelet, grid)
     values, counts, add = _row_reducer(grid.scales, _cone(f, wavelet, grid),
-                                       f.n, config or EstimationConfig())
+                                       f.n)
     _fft_rows(f, wavelet, grid, add)
     return WaveletAutoCovariance(scales=grid.scales.copy(), values=values,
                                  counts=counts, wavelet=wavelet.name,
@@ -217,7 +211,7 @@ def hurst_from_series(f: TimeSeries, wavelet=None, grid: ScaleGrid | None = None
     w = wavelet if wavelet is not None else MexicanHat()
     g = grid or estimation_grid(f)
     require_fit_grid(g)
-    return fit_power_law(wavelet_variance(f, w, g, config), config)
+    return fit_power_law(wavelet_variance(f, w, g), config)
 
 
 def exponent_relations(hurst: float) -> tuple:

@@ -331,7 +331,7 @@ def scalogram(c: CwtMatrix) -> Scalogram:
     return Scalogram(values=power, scales=c.scales, times=c.times)
 
 
-def _maxima_reducer(n_scales: int, min_amplitude_fraction: float):
+def _maxima_reducer(n_scales: int):
     """(add, collect) for the modulus maxima of rows, one per scale.
 
     add(j, row) keeps row j's maxima and their |W|, its largest |W| and,
@@ -339,8 +339,6 @@ def _maxima_reducer(n_scales: int, min_amplitude_fraction: float):
     collect() returns (time_idx, scale_idx, values, row_max, finest) with
     the points in (scale, time) order once every row has been added.
     """
-    if not 0.0 <= min_amplitude_fraction <= 1.0:
-        raise ValueError("min_amplitude_fraction must be in [0, 1]")
     peaks = [None] * n_scales
     row_max = np.empty(n_scales)
     finest = [None]
@@ -351,8 +349,6 @@ def _maxima_reducer(n_scales: int, min_amplitude_fraction: float):
         np.greater(mag[1:-1], mag[:-2], out=is_max[1:-1])
         is_max[1:-1] &= mag[1:-1] >= mag[2:]
         row_max[j] = mag.max()
-        if min_amplitude_fraction > 0.0:
-            is_max &= mag >= min_amplitude_fraction * row_max[j]
         idx = np.flatnonzero(is_max)
         peaks[j] = idx, mag[idx]
         if j == 0:
@@ -458,13 +454,12 @@ def _chain(collected, scales: np.ndarray, times: np.ndarray, cone: np.ndarray,
                      row_max=row_max, finest=finest)
 
 
-def modulus_maxima(c: CwtMatrix, min_amplitude_fraction: float = 0.0) -> MaximaSet:
+def modulus_maxima(c: CwtMatrix) -> MaximaSet:
     """Local maxima of |W| along translation, chained across scales.
 
     A column i is a maximum when |W[j][i]| > |W[j][i-1]| and
-    |W[j][i]| >= |W[j][i+1]| (leftmost point of a plateau wins) and clears
-    min_amplitude_fraction of the row maximum. The points come out as flat
-    arrays in (scale, time) order.
+    |W[j][i]| >= |W[j][i+1]| (leftmost point of a plateau wins). The points
+    come out as flat arrays in (scale, time) order.
 
     Maxima at adjacent scales are linked nearest-neighbor when their time
     offset is at most a_{j+1}/dt samples. Each maximum at scale j is paired
@@ -477,22 +472,21 @@ def modulus_maxima(c: CwtMatrix, min_amplitude_fraction: float = 0.0) -> MaximaS
     line_host. Lines are numbered in the order of their first point. The
     matrix is read one row at a time, so no temporary of its size is made.
     """
-    add, collect = _maxima_reducer(c.n_scales, min_amplitude_fraction)
+    add, collect = _maxima_reducer(c.n_scales)
     for j, row in enumerate(c.coefficients):
         add(j, row)
     return _chain(collect(), c.scales, c.times, c.cone_of_influence, c.dt,
                   c.wavelet)
 
 
-def cwt_maxima(f: TimeSeries, w: Wavelet, g: ScaleGrid,
-               min_amplitude_fraction: float = 0.0) -> MaximaSet:
-    """modulus_maxima(cwt_fft(f, w, g), min_amplitude_fraction), streamed.
+def cwt_maxima(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> MaximaSet:
+    """modulus_maxima(cwt_fft(f, w, g)), streamed.
 
     Each cwt_fft row is searched for its maxima in the worker that computed
     it and then dropped, so the scale x time matrix is never held: memory
     is O(n) plus the maxima. The result is the same to the bit.
     """
-    add, collect = _maxima_reducer(g.n_scales, min_amplitude_fraction)
+    add, collect = _maxima_reducer(g.n_scales)
     _fft_rows(f, w, g, add)
     return _chain(collect(), g.scales.copy(), f.time_axis(), _cone(f, w, g),
                   f.dt, w)

@@ -251,9 +251,15 @@ def test_noise_add_needs_a_seed(tmp_path, capsys):
 def test_rasterize_rejects_tiny_images(tmp_path, capsys):
     pts = tmp_path / "p.csv"
     pts.write_text("# x,y\n0.0,0.0\n1.0,1.0\n")
+    out = tmp_path / "p.pgm"
     assert main(["rasterize", str(pts), "--width", "8",
-                 "--out", str(tmp_path / "p.pgm")]) == 2
+                 "--out", str(out)]) == 2
     assert "at least 16x16" in capsys.readouterr().err
+    for side in ("--width", "--height"):
+        assert main(["rasterize", str(pts), side, "4097",
+                     "--out", str(out)]) == 2
+        assert "must be at most 4096" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rasterize_rejects_empty_point_files(tmp_path, capsys):

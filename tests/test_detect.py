@@ -46,7 +46,7 @@ def _wide_alpha(m, b, thr=None):
     lines, k = _ridge_through(m, b)
     readout = _line_readout(lines, lines.of(k),
                             default_thr if thr is None else thr, loc_floor,
-                            DetectionConfig().fit_octaves, m.dt)
+                            m.dt)
     return None if readout is None else readout[2]
 
 
@@ -224,11 +224,14 @@ def test_default_config_values():
     assert cfg.fit_octaves == 3.0
     assert cfg.max_alpha is None
     assert cfg.min_amplitude_fraction == 0.0
+    for name in ("fine_scale_count", "fit_octaves", "min_amplitude_fraction"):
+        with pytest.raises(TypeError, match=name):
+            DetectionConfig(**{name: 1})
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["threshold_multiplier", "persistence_octaves",
-                                  "fit_octaves", "max_alpha"])
+                                  "max_alpha"])
 def test_config_refuses_non_finite_settings(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         DetectionConfig(**{name: value})

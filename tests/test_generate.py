@@ -7,7 +7,7 @@ import pytest
 from wavekit import (AffineMap, IfsModel, InvalidHurstError,
                      InvalidModelError, InvalidSignalError, NoiseSpec,
                      TimeSeries, add_noise, barnsley_tree_model, chaos_game,
-                     gen_chirp_jump, gen_eq11, gen_fbm)
+                     gen_chirp_jump, gen_eq11, gen_fbm, generate)
 from wavekit.generate import _fgn_covariance
 
 
@@ -87,11 +87,14 @@ def test_fbm_rejects_bad_hurst(hurst):
         gen_fbm(hurst=hurst, n=64, seed=0)
 
 
-def test_fbm_rejects_bad_grid():
+def test_fbm_rejects_bad_grid(monkeypatch):
     with pytest.raises(InvalidSignalError):
         gen_fbm(hurst=0.5, n=1, seed=0)
-    with pytest.raises(InvalidSignalError):
-        gen_fbm(hurst=0.5, n=64, seed=0, dt=0.0)
+    # refused before any synthesis starts
+    monkeypatch.setattr(generate, "_fgn_covariance", None)
+    for dt in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidSignalError, match="dt must be"):
+            gen_fbm(hurst=0.5, n=64, seed=0, dt=dt)
 
 
 def _reference_gen_fbm(hurst, n, seed, dt=1.0):

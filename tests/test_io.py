@@ -201,8 +201,11 @@ def test_report_dict_shape(tmp_path):
     d = read_json(p)
     assert set(d) == {"events", "sigma_hat", "n_lines", "n_significant",
                       "wavelet", "config"}
-    assert d["config"]["max_alpha"] == 2.0
-    assert d["config"]["threshold_multiplier"] == 3.0
+    # the fixed readout reaches the report beside the settings
+    assert d["config"] == {"threshold_multiplier": 3.0,
+                           "persistence_octaves": 2.0,
+                           "fine_scale_count": 4, "fit_octaves": 3.0,
+                           "max_alpha": 2.0, "min_amplitude_fraction": 0.0}
     assert len(d["events"]) == len(rep.events) > 0
     for ev in d["events"]:
         assert set(ev) == {"location", "kind", "strength", "alpha",

@@ -49,14 +49,6 @@ def test_autocovariance_matches_direct_average():
     assert np.array_equal(r.scales, c.scales)
 
 
-def test_autocovariance_can_keep_the_cone():
-    f, c = _noise_matrix()
-    r = wavelet_autocovariance(c, EstimationConfig(exclude_cone=False))
-    assert np.all(r.counts == f.n)
-    for j in range(c.scales.size):
-        assert r.values[j] == np.mean(np.abs(c.coefficients[j]) ** 2)
-
-
 def test_cone_swallowing_every_sample_is_an_error():
     f = TimeSeries(samples=np.random.default_rng(3).standard_normal(256),
                    dt=1.0)
@@ -67,17 +59,14 @@ def test_cone_swallowing_every_sample_is_an_error():
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("exclude_cone", [True, False])
 @pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
                          ids=lambda w: w.name)
-def test_streamed_variance_is_the_matrix_variance(monkeypatch, w,
-                                                  exclude_cone, cpus):
+def test_streamed_variance_is_the_matrix_variance(monkeypatch, w, cpus):
     monkeypatch.setattr(transform, "_cpu_count", lambda: cpus)
     f = gen_fbm(hurst=0.6, n=3000, seed=2)
     g = estimation_grid(f)
-    cfg = EstimationConfig(exclude_cone=exclude_cone)
-    want = wavelet_autocovariance(cwt_fft(f, w, g), cfg)
-    got = wavelet_variance(f, w, g, cfg)
+    want = wavelet_autocovariance(cwt_fft(f, w, g))
+    got = wavelet_variance(f, w, g)
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.counts, want.counts)
     assert got.counts.dtype == want.counts.dtype

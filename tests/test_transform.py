@@ -483,19 +483,6 @@ def test_maxima_match_definition_on_random_field():
         assert {i for jj, i in flagged if jj == j} == expect
 
 
-def test_amplitude_floor_prunes_points():
-    f = _noise(256, 6)
-    c = cwt_fft(f, MexicanHat(), ScaleGrid.default_for(f))
-    full = modulus_maxima(c)
-    pruned = modulus_maxima(c, min_amplitude_fraction=0.5)
-    assert pruned.n_points < full.n_points
-    mag = np.abs(c.coefficients)
-    for j, i, v in zip(pruned.scale_idx, pruned.time_idx, pruned.values):
-        assert v >= 0.5 * mag[j].max()
-    with pytest.raises(ValueError):
-        modulus_maxima(c, min_amplitude_fraction=1.5)
-
-
 def _lines(m):
     """Each line's point indices, fine to coarse, in line order."""
     off = m.line_offsets.tolist()
@@ -529,7 +516,7 @@ def test_isolated_singularity_owns_a_long_line():
                for pts in at_half) > 4.0
 
 
-def _reference_maxima(c, min_amplitude_fraction=0.0):
+def _reference_maxima(c):
     """The per-scale loop modulus_maxima replaced, kept as its oracle.
 
     Returns the flat (time_idx, scale_idx, values) arrays and each line's
@@ -542,8 +529,6 @@ def _reference_maxima(c, min_amplitude_fraction=0.0):
         row = mag[j]
         is_max = np.zeros(n, dtype=bool)
         is_max[1:-1] = (row[1:-1] > row[:-2]) & (row[1:-1] >= row[2:])
-        if min_amplitude_fraction > 0.0:
-            is_max &= row >= min_amplitude_fraction * row.max()
         idx = np.nonzero(is_max)[0]
         per_scale.append((idx, row[idx]))
     time_idx = np.concatenate([p[0] for p in per_scale])
@@ -625,10 +610,9 @@ def _reference_hosts(c, time_idx, scale_idx, lines):
     return hosts
 
 
-def _assert_matches_reference(c, min_amplitude_fraction=0.0):
-    m = modulus_maxima(c, min_amplitude_fraction)
-    time_idx, scale_idx, values, lines = _reference_maxima(
-        c, min_amplitude_fraction)
+def _assert_matches_reference(c):
+    m = modulus_maxima(c)
+    time_idx, scale_idx, values, lines = _reference_maxima(c)
     parent = np.full(time_idx.size, -1, dtype=np.int64)
     for pts in lines:
         parent[pts[1:]] = pts[:-1]
@@ -655,8 +639,7 @@ def _assert_matches_reference(c, min_amplitude_fraction=0.0):
 def test_maxima_match_the_loop_reference_on_noise(w, n):
     f = _noise(n, n)
     c = cwt_fft(f, w, ScaleGrid.log_spaced(2.0 * f.dt, n * f.dt / 2.0, 8.0))
-    for fraction in (0.0, 0.3):
-        _assert_matches_reference(c, fraction)
+    _assert_matches_reference(c)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -671,8 +654,7 @@ def test_maxima_match_the_loop_reference_on_plateaus_and_ties(seed):
                   times=np.arange(n, dtype=np.float64),
                   cone_of_influence=np.zeros(n_scales, np.int64),
                   dt=1.0, wavelet=MexicanHat())
-    for fraction in (0.0, 0.3, 1.0):
-        _assert_matches_reference(c, fraction)
+    _assert_matches_reference(c)
 
 
 def test_maxima_tie_breaks_follow_offset_then_coarse_then_fine_index():
@@ -696,7 +678,6 @@ def test_maxima_tie_breaks_follow_offset_then_coarse_then_fine_index():
 ])
 def test_maxima_match_the_loop_reference_on_tiny_matrices(rows):
     _assert_matches_reference(_toy_matrix(rows))
-    _assert_matches_reference(_toy_matrix(rows), 0.6)
 
 
 def test_matrix_without_maxima_has_no_lines():
@@ -741,19 +722,18 @@ def test_streamed_maxima_are_the_matrix_route_bits(w, n, cpus):
     matrix = CwtMatrix(coefficients=c, scales=g.scales, times=f.time_axis(),
                        cone_of_influence=transform._cone(f, w, g), dt=f.dt,
                        wavelet=w)
-    for fraction in (0.0, 0.3):
-        _CountingPool.made.clear()
-        want = modulus_maxima(matrix, fraction)
-        got = cwt_maxima(f, w, g, fraction)
-        _assert_pool_bounds(cpus, g.n_scales)
-        for name in ("time_idx", "scale_idx", "values", "line_points",
-                     "line_offsets", "line_host", "scales", "times",
-                     "cone_of_influence", "row_max", "finest"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert got.dt == want.dt and got.wavelet == want.wavelet
-        assert np.array_equal(want.row_max, np.abs(c).max(axis=1))
-        assert np.array_equal(want.finest, c[0].real)
+    _CountingPool.made.clear()
+    want = modulus_maxima(matrix)
+    got = cwt_maxima(f, w, g)
+    _assert_pool_bounds(cpus, g.n_scales)
+    for name in ("time_idx", "scale_idx", "values", "line_points",
+                 "line_offsets", "line_host", "scales", "times",
+                 "cone_of_influence", "row_max", "finest"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.dt == want.dt and got.wavelet == want.wavelet
+    assert np.array_equal(want.row_max, np.abs(c).max(axis=1))
+    assert np.array_equal(want.finest, c[0].real)
 
 
 def test_streamed_maxima_survive_thread_switches_in_every_row(monkeypatch):
@@ -762,11 +742,11 @@ def test_streamed_maxima_survive_thread_switches_in_every_row(monkeypatch):
     monkeypatch.setattr(transform, "_cpu_count", lambda: 7)
     f = _noise(3000, 11)
     g = ScaleGrid.log_spaced(2.0 * f.dt, 8.0 * f.dt, 48.0)
-    want = modulus_maxima(cwt_fft(f, MexicanHat(), g), 0.1)
+    want = modulus_maxima(cwt_fft(f, MexicanHat(), g))
     before = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = cwt_maxima(f, MexicanHat(), g, 0.1)
+        got = cwt_maxima(f, MexicanHat(), g)
     finally:
         sys.setswitchinterval(before)
     assert g.n_scales == 97
@@ -777,8 +757,5 @@ def test_streamed_maxima_survive_thread_switches_in_every_row(monkeypatch):
 
 def test_streamed_maxima_check_their_arguments_before_any_fft():
     f = _noise(64, 1)
-    with pytest.raises(ValueError, match="min_amplitude_fraction"):
-        cwt_maxima(f, _TracedHat(set(), fail_at=0), ScaleGrid.default_for(f),
-                   1.5)
     with pytest.raises(ScaleTooFineError):
         cwt_maxima(f, MexicanHat(), ScaleGrid.log_spaced(f.dt, 8 * f.dt))

@@ -36,8 +36,8 @@ _BAD_INPUT = (InvalidSignalError, InvalidModelError, InvalidHurstError,
               OutOfRangeError, ValueError)
 _BAD_GRID = (ScaleTooFineError, TooFewScalesError)
 _DEGENERATE = (DegenerateFitError, NoValidSamplesError)
-# rasterize's largest image side: points_to_image peaks at about 25 bytes
-# a pixel, so a 4096 x 4096 image takes about 420 MB
+# rasterize's largest image side: points_to_image peaks at about 17 bytes
+# a pixel, so a 4096 x 4096 image takes about 285 MB
 _MAX_IMAGE_SIDE = 4096
 
 

@@ -12,13 +12,25 @@ frequency domain with the transfer function of the sampled scaled wavelet.
 
 Both routes sample the kernel at offsets m_lo <= m <= m_hi that cover the
 wavelet's support, clipped to |m| <= n - 1: no sample lies further away, so
-the clipped terms multiply nothing. cwt_fft convolves circularly over L
-points, L the smallest 2^i 3^j 5^k >= n + max(m_hi, -m_lo). The n outputs
-it keeps are the linear-convolution entries m_hi .. m_hi + n - 1, and at
-that length no other entry wraps onto them, so the circular result is the
-linear one. Its rows run on a thread pool with one worker per CPU the
-process may use, fed in scale order; numpy's FFT releases the GIL, and
-each row gets the same bits as in a one-thread loop.
+the clipped terms multiply nothing. The FFT route convolves circularly over
+L points and has two length rules:
+
+- cwt_fft (and cwt_maxima) keeps every column, the linear-convolution
+  entries m_hi .. m_hi + n - 1, and pads to L = the smallest 2^i 3^j 5^k
+  >= n + max(m_hi, -m_lo): at that length no other entry wraps onto them.
+- The wavelet variance keeps only the columns [k, n - k) outside a cone
+  k >= max(m_hi, -m_lo) samples wide, with 2k < n, and every row runs at
+  L = the smallest 2^i 3^j 5^k >= n, one signal spectrum for the grid.
+  The linear result has entries 0 .. n + m_hi - m_lo - 1; the kept ones,
+  m_hi + k .. m_hi + n - k - 1, all lie below n <= L. An entry that wraps
+  onto one of them sits at m_hi + k + L >= m_hi + k + n or later, past
+  the last linear entry, n + m_hi + k - 1 at most. The kernel's at most
+  2k + 1 <= n samples fit in L. So the interior is the linear result,
+  and differs from cwt_fft's columns only by FFT roundoff.
+
+The rows run on a thread pool with one worker per CPU the process may use,
+fed in scale order; numpy's FFT releases the GIL, and each row gets the
+same bits as in a one-thread loop.
 
 Modulus maxima are found one row at a time by a single row reducer, which
 modulus_maxima feeds from a computed matrix and cwt_maxima feeds from the
@@ -262,7 +274,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit) -> None:
+def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit,
+              cone=None) -> None:
     """Compute every cwt_fft row and hand it to emit(j, row), scale j.
 
     The calling thread samples each kernel and each new signal spectrum in
@@ -273,6 +286,10 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit) -> None:
     row is raised here once the pool has stopped. The row bits do not
     depend on the worker count: each row runs the same numpy calls on the
     same inputs as a serial loop would.
+
+    With cone, the widths k_j of a cone of influence with 2 k_j < n, row j
+    is only its columns [k_j, n - k_j), and every row runs at the one
+    length smooth(n) (see the module docstring for why that is exact).
     """
     _check_grid(f, w, g)
     x = f.samples
@@ -280,11 +297,11 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit) -> None:
     fft, ifft = (np.fft.fft, np.fft.ifft) if w.is_complex else \
         (np.fft.rfft, np.fft.irfft)
 
-    def row(j, c, m_hi, size, x_spec):
+    def row(j, c, lo, hi, size, x_spec):
         # keep the product one expression over the fresh kernel spectrum:
         # numpy then multiplies in place into that temporary, operands
         # swapped, and the operand order sets the last bit of each product
-        r = ifft(x_spec * fft(c[::-1], size), size)[m_hi:m_hi + n]
+        r = ifft(x_spec * fft(c[::-1], size), size)[lo:hi]
         emit(j, np.multiply(r, f.dt / np.sqrt(g.scales[j]), out=r))
 
     workers = min(_cpu_count(), g.n_scales)
@@ -293,13 +310,19 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit) -> None:
         size, x_spec = 0, None
         for j, a in enumerate(g.scales):
             c, m_lo, m_hi = _kernel(w, a, f.dt, n)
-            length = _smooth_length(n + max(m_hi, -m_lo))
+            if cone is None:
+                k, length = 0, _smooth_length(n + max(m_hi, -m_lo))
+            else:
+                k, length = int(cone[j]), _smooth_length(n)
+                # the bounds that make the shorter length exact
+                assert max(m_hi, -m_lo) <= k < n - k
             if length != size:
                 size = length
                 x_spec = fft(x, size)
             if len(pending) == workers:
                 pending.popleft().result()
-            pending.append(pool.submit(row, j, c, m_hi, size, x_spec))
+            pending.append(pool.submit(row, j, c, m_hi + k, m_hi + n - k,
+                                       size, x_spec))
         for job in pending:
             job.result()
 

@@ -21,7 +21,7 @@ from wavekit import (DetectionConfig, EstimationConfig, Haar, MexicanHat,
                      cwt_direct, cwt_fft, detect_singularities,
                      exponent_relations, fit_power_law, gen_chirp_jump,
                      gen_eq11, gen_fbm, hurst_from_series, modulus_maxima,
-                     scalogram, wavelet_autocovariance)
+                     scalogram, wavelet_autocovariance, wavelet_variance)
 from wavekit.cli import main as cli_main
 from wavekit.io import (read_json, read_pgm, read_points_csv,
                         read_run_manifest, read_signal_csv)
@@ -430,7 +430,14 @@ def test_criterion_12_cli_round_trips(tmp_path):
                      "--covariance", cov_tsv],
                     [est_json, cov_tsv], failures, "estimate")
     f_in = read_signal_csv(walk)
-    r = wavelet_autocovariance(cwt_fft(f_in, MEXHAT, estimation_grid(f_in)))
+    # the CLI writes the library's streamed variance, bit for bit; that
+    # agrees with the matrix route to FFT roundoff
+    r = wavelet_variance(f_in, MEXHAT, estimation_grid(f_in))
+    matrix = wavelet_autocovariance(cwt_fft(f_in, MEXHAT,
+                                            estimation_grid(f_in)))
+    if not np.all(np.abs(r.values - matrix.values)
+                  <= 1e-12 * np.abs(matrix.values)):
+        failures.append("streamed variance strays from the matrix route")
     est = fit_power_law(r)
     doc = read_json(est_json)
     if not (doc["beta"] == est.beta and doc["hurst"] == est.hurst

@@ -11,8 +11,8 @@ import pytest
 
 import wavekit
 from wavekit import (DetectionConfig, ScaleGrid, TimeSeries, by_name, cwt_fft,
-                     detect_singularities, gen_chirp_jump, modulus_maxima,
-                     scalogram)
+                     detect_singularities, gen_chirp_jump, gen_fbm,
+                     modulus_maxima, scalogram)
 from wavekit.cli import main
 from wavekit.io import (read_json, read_pgm, read_signal_csv, write_json,
                         write_maxima_tsv, write_scalogram_tsv,
@@ -462,6 +462,28 @@ def test_analyze_report_at_64k_holds_no_scale_time_matrix(tmp_path):
     last = done.stdout.split("\n")[-2].split()
     assert last[:2] == ["rc", "0"], done.stderr
     assert int(last[3]) / 1024 <= 100.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set size from /proc")
+def test_estimate_at_256k_computes_only_interior_rows(tmp_path):
+    # 262 144 samples at the estimation grid's 102 scales: the variance
+    # rows run at one FFT length, 262 144, and only their columns outside
+    # the cone reach the reducer (about 63 MB); padding each row to its
+    # own length, up to 364 500, and reducing full rows peaked at 76-83 MB
+    signal = str(tmp_path / "fbm.csv")
+    write_signal_csv(signal, gen_fbm(hurst=0.7, n=262144, seed=1))
+    src = str(Path(wavekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, "estimate", signal,
+         "--json", str(tmp_path / "e.json"),
+         "--covariance", str(tmp_path / "c.tsv")],
+        env=env, capture_output=True, text=True, timeout=300)
+    last = done.stdout.split("\n")[-2].split()
+    assert last[:2] == ["rc", "0"], done.stderr
+    assert int(last[3]) / 1024 <= 70.0
 
 
 # ----------------------------------------------------------- argparse layer

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -363,6 +364,20 @@ def test_density_image_bytes_are_pinned(bbox, digest):
     pts = chaos_game(barnsley_tree_model(), n=5000, seed=2).points
     img = points_to_image(pts, 40, 60, bbox=bbox)
     assert hashlib.sha256(img.tobytes()).hexdigest() == digest
+
+
+def test_density_image_working_memory_per_pixel():
+    """Peak traced memory at 1024 x 1024, the image included: the int64
+    counts, one float64 copy that takes the log and the rounding in place,
+    and the uint8 result, 17 bytes a pixel (a new array per step made 25)."""
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (1000, 2))
+    tracemalloc.start()
+    try:
+        points_to_image(pts, 1024, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 2 ** 20
 
 
 def test_density_image_rejects_bad_dims():

@@ -5,10 +5,11 @@ from wavekit import (DegenerateFitError, EstimationConfig, Haar,
                      InvalidSignalError, MexicanHat, Morlet,
                      NoValidSamplesError, OutOfRangeError, ScaleGrid,
                      ScaleTooFineError, TimeSeries, TooFewScalesError,
-                     WaveletAutoCovariance, classify_hurst, cwt_fft,
-                     estimation_grid, exponent_relations, fit_power_law,
-                     gen_fbm, hurst_from_series, selfsim, support_radius,
-                     transform, wavelet_autocovariance, wavelet_variance)
+                     WaveletAutoCovariance, classify_hurst, cwt_direct,
+                     cwt_fft, estimation_grid, exponent_relations,
+                     fit_power_law, gen_fbm, hurst_from_series, selfsim,
+                     support_radius, transform, wavelet_autocovariance,
+                     wavelet_variance)
 from wavekit.selfsim import require_fit_grid
 
 MEXHAT = MexicanHat()
@@ -58,21 +59,96 @@ def test_cone_swallowing_every_sample_is_an_error():
         wavelet_autocovariance(c)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
-                         ids=lambda w: w.name)
-def test_streamed_variance_is_the_matrix_variance(monkeypatch, w, cpus):
-    monkeypatch.setattr(transform, "_cpu_count", lambda: cpus)
-    f = gen_fbm(hurst=0.6, n=3000, seed=2)
-    g = estimation_grid(f)
-    want = wavelet_autocovariance(cwt_fft(f, w, g))
-    got = wavelet_variance(f, w, g)
-    assert np.array_equal(got.values, want.values)
+def _assert_same_but_values(got, want):
     assert np.array_equal(got.counts, want.counts)
     assert got.counts.dtype == want.counts.dtype
     assert np.array_equal(got.scales, want.scales)
     assert (got.wavelet, got.n_samples, got.dt) == \
         (want.wavelet, want.n_samples, want.dt)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
+                         ids=lambda w: w.name)
+def test_streamed_variance_is_the_matrix_variance(monkeypatch, w, cpus):
+    # the streamed rows run at the shorter FFT length smooth(n), so the
+    # values agree to roundoff; 301 and 4097 are not 5-smooth (L > n)
+    monkeypatch.setattr(transform, "_cpu_count", lambda: cpus)
+    for n in (300, 301, 3000, 4096, 4097, 40000):
+        f = gen_fbm(hurst=0.6, n=n, seed=2)
+        g = estimation_grid(f)
+        want = wavelet_autocovariance(cwt_fft(f, w, g))
+        got = wavelet_variance(f, w, g)
+        assert np.all(np.abs(got.values - want.values)
+                      <= 1e-12 * np.abs(want.values)), n
+        _assert_same_but_values(got, want)
+
+
+@pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
+                         ids=lambda w: w.name)
+def test_streamed_variance_bits_do_not_depend_on_the_worker_count(
+        monkeypatch, w):
+    f = gen_fbm(hurst=0.4, n=40000, seed=5)
+    g = estimation_grid(f)
+    runs = []
+    for cpus in (1, 2, 3, 7):
+        monkeypatch.setattr(transform, "_cpu_count", lambda: cpus)
+        runs.append(wavelet_variance(f, w, g).values)
+    for values in runs[1:]:
+        assert np.array_equal(values, runs[0])
+
+
+def _widest_cone_grid(f, w, extra=0):
+    """Six scales whose coarsest cone is (n - 1) // 2 + extra samples wide:
+    with extra = 0 the widest cone _row_reducer accepts, where the kernel
+    spans 2k + 1 samples, all n of them for an odd n."""
+    k = (f.n - 1) // 2 + extra
+    a_top = (k - 0.5) * f.dt / support_radius(w)
+    g = ScaleGrid.with_count(2.0 * f.dt, a_top, 6)
+    assert transform._cone(f, w, g)[-1] == k
+    return g
+
+
+@pytest.mark.parametrize("n", [300, 301, 375])
+@pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
+                         ids=lambda w: w.name)
+def test_streamed_interior_is_the_direct_interior(w, n):
+    # 375 is 5-smooth and odd: the coarsest kernel fills all L = n points
+    f = TimeSeries(samples=np.random.default_rng(n).standard_normal(n),
+                   dt=1.0 / (n - 1))
+    g = _widest_cone_grid(f, w)
+    cone = transform._cone(f, w, g)
+    direct = cwt_direct(f, w, g).coefficients
+    rows = {}
+    transform._fft_rows(f, w, g, rows.__setitem__, cone)
+    assert sorted(rows) == list(range(g.n_scales))
+    for j, k in enumerate(cone):
+        want = direct[j, k:n - k]
+        assert rows[j].shape == want.shape
+        assert np.abs(rows[j] - want).max() <= 1e-9 * np.abs(want).max()
+    got = wavelet_variance(f, w, g)
+    want = wavelet_autocovariance(cwt_direct(f, w, g))
+    assert np.all(np.abs(got.values - want.values)
+                  <= 1e-12 * np.abs(want.values))
+    _assert_same_but_values(got, want)
+    assert got.counts[-1] == n - 2 * ((n - 1) // 2)
+
+
+@pytest.mark.parametrize("n", [300, 375])
+@pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
+                         ids=lambda w: w.name)
+def test_one_cone_past_the_widest_is_refused_before_any_fft(
+        monkeypatch, w, n):
+    def no_rows(*args):
+        raise AssertionError("rows were computed")
+
+    f = TimeSeries(samples=np.random.default_rng(n).standard_normal(n),
+                   dt=1.0 / (n - 1))
+    monkeypatch.setattr(selfsim, "_fft_rows", no_rows)
+    g = _widest_cone_grid(f, w, extra=1)
+    with pytest.raises(NoValidSamplesError,
+                       match=f"scale {g.a_max:.6g} leaves no samples"):
+        wavelet_variance(f, w, g)
 
 
 def test_streamed_variance_refuses_before_any_fft(monkeypatch):

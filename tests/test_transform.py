@@ -434,6 +434,25 @@ def test_cone_of_influence_widths(w):
     assert m[expect[0]:f.n - expect[0]].all()
 
 
+@pytest.mark.parametrize("dt", [1.0, 0.1, 1.0 / 299.0, 3e-7],
+                         ids=lambda dt: f"dt{dt:.3g}")
+@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
+def test_kernel_reach_stays_inside_the_cone(w, dt):
+    # the wavelet variance's FFT length smooth(n) is exact only because no
+    # kernel offset reaches past its cone: max(m_hi, -m_lo) <= k
+    rng = np.random.default_rng(int(1 / dt) % 1000)
+    for n in (2, 3, 17, 300, 1000):
+        f = TimeSeries(samples=np.zeros(n), dt=dt)
+        scales = np.sort(np.concatenate((
+            rng.uniform(2 * dt, 2 * n * dt, 200),
+            np.arange(1, 2 * n + 1) * dt / support_radius(w))))
+        g = ScaleGrid(scales=scales[scales >= 2 * dt], voices_per_octave=1.0)
+        cone = transform._cone(f, w, g)
+        for a, k in zip(g.scales, cone):
+            _, m_lo, m_hi = _kernel(w, a, dt, n)
+            assert max(m_hi, -m_lo) <= k, (n, a)
+
+
 def test_interior_mask_empty_when_cone_swallows_row():
     f = _noise(64, 3)
     g = ScaleGrid(scales=np.array([8.0 * f.dt]), voices_per_octave=1.0)

@@ -16,20 +16,20 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .detect import DetectionConfig, detect_from_maxima
+from .detect import (DetectionConfig, detect_from_maxima,
+                     require_detection_grid)
 from .errors import (DegenerateFitError, InvalidHurstError, InvalidModelError,
                      InvalidSignalError, NoValidSamplesError,
                      OutOfRangeError, ScaleTooFineError, TooFewScalesError)
 from .generate import (NoiseSpec, add_noise, barnsley_tree_model, chaos_game,
                        gen_chirp_jump, gen_eq11, gen_fbm)
 from .io import (RunManifest, points_to_image, read_points_csv,
-                 read_signal_csv, write_covariance_tsv, write_json,
-                 write_maxima_tsv, write_pgm, write_points_csv,
-                 write_scalogram_tsv, write_signal_csv)
+                 read_signal_csv, scalogram_tsv, write_covariance_tsv,
+                 write_json, write_maxima_tsv, write_pgm, write_points_csv,
+                 write_signal_csv)
 from .selfsim import (estimation_grid, fit_power_law, require_estimable,
                       require_fit_grid, wavelet_variance)
-from .transform import (ScaleGrid, cwt_fft, cwt_maxima, modulus_maxima,
-                        scalogram)
+from .transform import ScaleGrid, cwt_maxima, energy_density
 from .wavelets import by_name
 
 _BAD_INPUT = (InvalidSignalError, InvalidModelError, InvalidHurstError,
@@ -121,7 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--max-alpha", type=float, default=None,
                    help="drop events whose exponent reads at or above this")
     a.add_argument("--report", help="write the event report as JSON")
-    a.add_argument("--scalogram", help="write normalized power as TSV")
+    a.add_argument("--scalogram",
+                   help="write normalized power as TSV, one row per sample "
+                        "and scale: n x n_scales rows (6.9 M rows, about "
+                        "434 MB, for a default run on 65536 samples)")
     a.add_argument("--maxima", help="write modulus-maxima points as TSV")
     a.set_defaults(handler=_cmd_analyze)
 
@@ -216,10 +219,14 @@ def _cmd_analyze(args) -> None:
     cfg = DetectionConfig(threshold_multiplier=args.threshold,
                           persistence_octaves=args.persistence,
                           max_alpha=args.max_alpha)
-    # the scale x time matrix is held only when it is to be written
+    require_detection_grid(g.scales)
+    # the scalogram is written row by row as the transform makes the rows
+    # (the calling thread formats one row while the pool computes others),
+    # so no path holds the scale x time matrix
     if args.scalogram:
-        c = cwt_fft(f, w, g)
-        maxima = modulus_maxima(c)
+        with scalogram_tsv(args.scalogram, f.time_axis()) as write:
+            maxima = cwt_maxima(f, w, g, lambda j, row: write(
+                g.scales[j], energy_density(row, g.scales[j])))
     else:
         maxima = cwt_maxima(f, w, g)
     report = detect_from_maxima(maxima, cfg)
@@ -229,7 +236,6 @@ def _cmd_analyze(args) -> None:
         write_json(args.report, asdict(report))
         outputs.append(args.report)
     if args.scalogram:
-        write_scalogram_tsv(args.scalogram, scalogram(c))
         outputs.append(args.scalogram)
     if args.maxima:
         write_maxima_tsv(args.maxima, maxima)

@@ -123,14 +123,19 @@ def _by_line(m: MaximaSet) -> _Lines:
     A point is trusted outside the cone of influence and below the grid's
     top octave, where neighbouring structure bleeds in.
     """
+    n, cone = len(m.times), m.cone_of_influence
+    # flagged one scale at a time in the points' (scale, time) order
+    bounds = np.searchsorted(m.scale_idx, np.arange(m.scales.size + 1))
+    trusted = np.zeros(m.n_points, dtype=bool)
+    below_top = m.scales <= m.scales[-1] / 2.0 + 1e-15 * m.scales[-1]
+    for j in np.flatnonzero(below_top).tolist():
+        t = m.time_idx[bounds[j]:bounds[j + 1]]
+        trusted[bounds[j]:bounds[j + 1]] = (t >= cone[j]) & (t < n - cone[j])
     pts = m.line_points
-    scale_idx, time_idx = m.scale_idx[pts], m.time_idx[pts]
-    a = m.scales[scale_idx]
-    cone = m.cone_of_influence[scale_idx]
-    trusted = (time_idx >= cone) & (time_idx < len(m.times) - cone)
-    trusted &= a <= m.scales[-1] / 2.0 + 1e-15 * m.scales[-1]
-    return _Lines(time_idx=time_idx, values=m.values[pts], a=a,
-                  trusted=trusted, offsets=m.line_offsets, host=m.line_host)
+    a = m.scales[m.scale_idx[pts]]  # before the other copies: one temporary
+    return _Lines(time_idx=m.time_idx[pts], values=m.values[pts], a=a,
+                  trusted=trusted[pts], offsets=m.line_offsets,
+                  host=m.line_host)
 
 
 def _thresholds(m: MaximaSet, cfg: DetectionConfig):
@@ -231,6 +236,14 @@ def _line_readout(lines: _Lines, s: slice, thr: float, loc_floor: float,
     return onset_alpha, tail_alpha, alpha, k_loc, anchor
 
 
+def require_detection_grid(scales: np.ndarray) -> None:
+    """Refuse fewer than the 4 scales detection needs (TooFewScalesError):
+    detect_from_maxima checks its maxima's scales, and the command line
+    checks its grid before a transform that streams a file."""
+    if scales.size < 4:
+        raise TooFewScalesError(f"{scales.size} scales is too coarse a grid")
+
+
 def detect_singularities(f: TimeSeries, wavelet, grid: ScaleGrid | None = None,
                          config: DetectionConfig | None = None) -> SingularityReport:
     """Locate and classify isolated singularities in a sampled signal.
@@ -253,8 +266,7 @@ def detect_from_maxima(maxima: MaximaSet,
     """
     cfg = config or DetectionConfig()
     m = maxima
-    if m.scales.size < 4:
-        raise TooFewScalesError(f"{m.scales.size} scales is too coarse a grid")
+    require_detection_grid(m.scales)
     sigma, thr, loc_floor = _thresholds(m, cfg)
     lines = _by_line(m)
 

@@ -35,11 +35,14 @@ same bits as in a one-thread loop.
 Modulus maxima are found one row at a time by a single row reducer, which
 modulus_maxima feeds from a computed matrix and cwt_maxima feeds from the
 pool as each row arrives, so cwt_maxima never holds the scale x time
-matrix: its memory is O(n) plus the maxima. The maxima are chained into
-lines by matching rounds over flat arrays, and a MaximaSet holds the lines
-as a line-sorted permutation of the points, line offsets and the line
-each one merged into, next to what detection reads of the transform (each
-row's largest |W| and the finest row): detection needs no CwtMatrix.
+matrix: its memory is O(n) plus the maxima. cwt_maxima can also hand each
+row, in scale order, to a consumer on the calling thread, which is how
+analyze writes its scalogram: analyze holds no CwtMatrix on any path. The
+maxima are chained into lines by matching rounds over flat arrays, whose
+temporaries are int32 while every index fits, and a MaximaSet holds the
+lines as a line-sorted permutation of the points, line offsets and the
+line each one merged into, next to what detection reads of the transform
+(each row's largest |W| and the finest row): detection needs no CwtMatrix.
 """
 
 from __future__ import annotations
@@ -275,7 +278,7 @@ def _cpu_count() -> int:
 
 
 def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit,
-              cone=None) -> None:
+              cone=None, consume=None) -> None:
     """Compute every cwt_fft row and hand it to emit(j, row), scale j.
 
     The calling thread samples each kernel and each new signal spectrum in
@@ -286,6 +289,11 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit,
     row is raised here once the pool has stopped. The row bits do not
     depend on the worker count: each row runs the same numpy calls on the
     same inputs as a serial loop would.
+
+    With consume, the calling thread also calls consume(j, row) with each
+    row, in scale order, as it collects the row's job: the jobs are
+    collected in the order they were submitted, so the rows in flight are
+    the only ones held and no reorder buffer is needed.
 
     With cone, the widths k_j of a cone of influence with 2 k_j < n, row j
     is only its columns [k_j, n - k_j), and every row runs at the one
@@ -298,11 +306,21 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit,
         (np.fft.rfft, np.fft.irfft)
 
     def row(j, c, lo, hi, size, x_spec):
-        # keep the product one expression over the fresh kernel spectrum:
-        # numpy then multiplies in place into that temporary, operands
-        # swapped, and the operand order sets the last bit of each product
+        # keep the product one expression over the fresh kernel spectrum K:
+        # the operand order sets the last bit of each product, and numpy
+        # computes x_spec * K in place into K, operands swapped, only when
+        # K is at least 256 KiB (its temporary-elision threshold); below
+        # that the product is x_spec . K
         r = ifft(x_spec * fft(c[::-1], size), size)[lo:hi]
         emit(j, np.multiply(r, f.dt / np.sqrt(g.scales[j]), out=r))
+        # a finished job holds its row only when the caller reads it
+        return r if consume is not None else None
+
+    def collect(pending):
+        j, job = pending.popleft()
+        r = job.result()
+        if consume is not None:
+            consume(j, r)
 
     workers = min(_cpu_count(), g.n_scales)
     with ThreadPoolExecutor(workers) as pool:
@@ -320,11 +338,11 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit,
                 size = length
                 x_spec = fft(x, size)
             if len(pending) == workers:
-                pending.popleft().result()
-            pending.append(pool.submit(row, j, c, m_hi + k, m_hi + n - k,
-                                       size, x_spec))
-        for job in pending:
-            job.result()
+                collect(pending)
+            pending.append((j, pool.submit(row, j, c, m_hi + k,
+                                           m_hi + n - k, size, x_spec)))
+        while pending:
+            collect(pending)
 
 
 def cwt_fft(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
@@ -348,10 +366,16 @@ def cwt_fft(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
                      cone_of_influence=_cone(f, w, g), dt=f.dt, wavelet=w)
 
 
+def energy_density(coefficients: np.ndarray, scales) -> np.ndarray:
+    """|W|^2 / a, the scalogram's values: a CWT row and its scale, or a
+    matrix and its scales as a column."""
+    return np.abs(coefficients) ** 2 / scales
+
+
 def scalogram(c: CwtMatrix) -> Scalogram:
     """Energy density |W|^2 / a per Parseval-style normalization."""
-    power = np.abs(c.coefficients) ** 2 / c.scales[:, None]
-    return Scalogram(values=power, scales=c.scales, times=c.times)
+    return Scalogram(values=energy_density(c.coefficients, c.scales[:, None]),
+                     scales=c.scales, times=c.times)
 
 
 def _maxima_reducer(n_scales: int):
@@ -387,6 +411,13 @@ def _maxima_reducer(n_scales: int):
     return add, collect
 
 
+def _index_dtype(n_points: int, n: int):
+    """int32 when every point index, link count and time index fits in it,
+    else int64: the chaining's temporaries take this one dtype."""
+    return np.int32 if max(2 * n_points, n) < np.iinfo(np.int32).max \
+        else np.int64
+
+
 def _links(scale_idx: np.ndarray, time_idx: np.ndarray, scales: np.ndarray,
            dt: float, n: int):
     """Candidate links (head, new) between maxima on adjacent scales.
@@ -394,23 +425,30 @@ def _links(scale_idx: np.ndarray, time_idx: np.ndarray, scales: np.ndarray,
     Every maximum not on the coarsest scale is paired with the at most two
     maxima one scale up that flank its time index and lie within a_{j+1}/dt
     samples of it. The pairs come sorted by (coarse scale, offset, coarse
-    time index, fine time index), a strict total order.
+    time index, fine time index), a strict total order, as arrays of
+    _index_dtype. They are built one pair of scales at a time, so every
+    temporary is the size of one scale's maxima.
     """
-    # the right flank is found by one search over the (scale, time)-ordered
-    # keys; the left flank sits just before it
-    key = scale_idx * (n + 1) + time_idx
-    n_fine = np.searchsorted(scale_idx, scales.size - 1)
-    pos = np.searchsorted(key, key[:n_fine] + (n + 1))
-    head = np.tile(np.arange(pos.size), 2)
-    new = np.concatenate((pos - 1, pos))
-    keep = new < key.size
-    head, new = head[keep], new[keep]
-    dist = np.abs(time_idx[new] - time_idx[head])
-    keep = (scale_idx[new] == scale_idx[head] + 1) & \
-        (dist <= scales[scale_idx[new]] / dt)
-    head, new, dist = head[keep], new[keep], dist[keep]
-    order = np.lexsort((time_idx[head], time_idx[new], dist, scale_idx[new]))
-    return head[order], new[order]
+    idx = _index_dtype(scale_idx.size, n)
+    bounds = np.searchsorted(scale_idx, np.arange(scales.size + 1))
+    heads, news = [np.empty(0, idx)], [np.empty(0, idx)]
+    for j in range(scales.size - 1):
+        fine = time_idx[bounds[j]:bounds[j + 1]]
+        coarse = time_idx[bounds[j + 1]:bounds[j + 2]]
+        # the right flank is the first coarse maximum at or after the fine
+        # one, the left flank the one before it
+        right = np.searchsorted(coarse, fine)
+        has_left, has_right = right > 0, right < coarse.size
+        head = np.concatenate((np.flatnonzero(has_left),
+                               np.flatnonzero(has_right)))
+        new = np.concatenate((right[has_left] - 1, right[has_right]))
+        dist = np.abs(coarse[new] - fine[head])
+        near = dist <= scales[j + 1] / dt
+        head, new, dist = head[near], new[near], dist[near]
+        order = np.lexsort((fine[head], coarse[new], dist))
+        heads.append((head[order] + bounds[j]).astype(idx))
+        news.append((new[order] + bounds[j + 1]).astype(idx))
+    return np.concatenate(heads), np.concatenate(news)
 
 
 def _match(head: np.ndarray, new: np.ndarray, n_points: int) -> np.ndarray:
@@ -422,16 +460,17 @@ def _match(head: np.ndarray, new: np.ndarray, n_points: int) -> np.ndarray:
     (it is locally dominant), then drops the links left with a linked end.
     Under a strict order this takes exactly the greedy pass's links (Preis
     1999): a locally dominant link meets no earlier link left, and the
-    earliest link left is always locally dominant.
+    earliest link left is always locally dominant. The parents and the
+    link ranks take head's dtype, which must hold head.size.
     """
-    parent = np.full(n_points, -1, dtype=np.int64)
+    parent = np.full(n_points, -1, dtype=head.dtype)
     head_used = np.zeros(n_points, dtype=bool)
     new_used = np.zeros(n_points, dtype=bool)
-    first_of_head = np.empty(n_points, dtype=np.int64)
-    first_of_new = np.empty(n_points, dtype=np.int64)
-    rank = np.arange(head.size)
+    first_of_head = np.empty(n_points, dtype=head.dtype)
+    first_of_new = np.empty(n_points, dtype=head.dtype)
+    # the links left: their ranks and ends
+    rank, h, k = np.arange(head.size, dtype=head.dtype), head, new
     while rank.size:
-        h, k = head[rank], new[rank]
         first_of_head[h] = head.size
         first_of_new[k] = head.size
         np.minimum.at(first_of_head, h, rank)
@@ -440,7 +479,8 @@ def _match(head: np.ndarray, new: np.ndarray, n_points: int) -> np.ndarray:
         parent[k[win]] = h[win]
         head_used[h[win]] = True
         new_used[k[win]] = True
-        rank = rank[~(head_used[h] | new_used[k])]
+        left = ~(head_used[h] | new_used[k])
+        rank, h, k = rank[left], h[left], k[left]
     return parent
 
 
@@ -448,9 +488,13 @@ def _chain(collected, scales: np.ndarray, times: np.ndarray, cone: np.ndarray,
            dt: float, wavelet: Wavelet) -> MaximaSet:
     """MaximaSet from what a maxima reducer collected over every row."""
     time_idx, scale_idx, values, row_max, finest = collected
-    n_scales = scales.size
+    n_scales, n_points = scales.size, scale_idx.size
     head, new = _links(scale_idx, time_idx, scales, dt, times.size)
-    parent = _match(head, new, scale_idx.size)
+    parent = _match(head, new, n_points)
+    # each point's first (nearest) link as head, or head.size with none
+    first = np.full(n_points, head.size, dtype=head.dtype)
+    np.minimum.at(first, head, np.arange(head.size, dtype=head.dtype))
+    del head
 
     # a point with no parent opens the next line; the rest inherit theirs
     bounds = np.searchsorted(scale_idx, np.arange(n_scales + 1))
@@ -459,17 +503,17 @@ def _chain(collected, scales: np.ndarray, times: np.ndarray, cone: np.ndarray,
         seg = slice(bounds[j], bounds[j + 1])
         linked = parent[seg] >= 0
         line_id[seg][linked] = line_id[parent[seg][linked]]
+    del parent
 
     # lines are runs of the points sorted stably by line, fine to coarse
     line_points = np.argsort(line_id, kind="stable")
     line_offsets = np.concatenate(([0], np.cumsum(np.bincount(line_id))))
 
-    # a line's host holds the new point of its last point's first (nearest)
-    # link; with no link, first stays head.size and picks the appended -1
-    first = np.full(scale_idx.size, head.size)
-    np.minimum.at(first, head, np.arange(head.size))
-    ends = line_points[line_offsets[1:] - 1]
-    line_host = np.append(line_id[new], -1)[first[ends]]
+    # a line's host holds the new point of its last point's first link
+    link = first[line_points[line_offsets[1:] - 1]]
+    has_host = link < new.size
+    line_host = np.full(link.size, -1, dtype=line_id.dtype)
+    line_host[has_host] = line_id[new[link[has_host]]]
     return MaximaSet(time_idx=time_idx, scale_idx=scale_idx, values=values,
                      line_points=line_points, line_offsets=line_offsets,
                      line_host=line_host, scales=scales, times=times,
@@ -502,14 +546,18 @@ def modulus_maxima(c: CwtMatrix) -> MaximaSet:
                   c.wavelet)
 
 
-def cwt_maxima(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> MaximaSet:
+def cwt_maxima(f: TimeSeries, w: Wavelet, g: ScaleGrid,
+               consume=None) -> MaximaSet:
     """modulus_maxima(cwt_fft(f, w, g)), streamed.
 
     Each cwt_fft row is searched for its maxima in the worker that computed
     it and then dropped, so the scale x time matrix is never held: memory
-    is O(n) plus the maxima. The result is the same to the bit.
+    is O(n) plus the maxima. The result is the same to the bit. With
+    consume, the calling thread also gets every row, as consume(j, row)
+    in scale order, while the transform runs; this is how a scalogram is
+    written without the matrix.
     """
     add, collect = _maxima_reducer(g.n_scales)
-    _fft_rows(f, w, g, add)
+    _fft_rows(f, w, g, add, consume=consume)
     return _chain(collect(), g.scales.copy(), f.time_axis(), _cone(f, w, g),
                   f.dt, w)

@@ -395,20 +395,36 @@ def test_extreme_settings_end_in_an_exit_code(tmp_path, sweep_inputs,
             _strict_json(str(tmp_path / name))
 
 
-@pytest.mark.parametrize("command, setting, message", [
-    ("analyze", "--omega0=nan", "omega0 must be finite"),
-    ("estimate", "--omega0=inf", "omega0 must be finite"),
-    ("analyze", "--a-max=inf", "a_max / a_min must be finite"),
-    ("analyze", "--a-max=1e308", "a_max / a_min must be finite"),
-    ("estimate", "--a-max=inf", "a_max / a_min must be finite"),
-    ("analyze", "--voices=0", "voices per octave must be positive"),
-    ("estimate", "--voices=-1", "voices per octave must be positive"),
-])
+_REFUSED = [
+    ("analyze", "--omega0=nan", 2, "omega0 must be finite"),
+    ("estimate", "--omega0=inf", 2, "omega0 must be finite"),
+    ("analyze", "--a-max=inf", 2, "a_max / a_min must be finite"),
+    ("analyze", "--a-max=1e308", 2, "a_max / a_min must be finite"),
+    ("estimate", "--a-max=inf", 2, "a_max / a_min must be finite"),
+    ("analyze", "--voices=0", 2, "voices per octave must be positive"),
+    ("estimate", "--voices=-1", 2, "voices per octave must be positive"),
+    # the chirp's dt is 1/1023, so 2 dt is about 0.00196
+    ("analyze", "--a-min=0.001", 4, "is below 2*dt"),
+    ("analyze", "--a-max=0.0025", 4, "scales is too coarse a grid"),
+]
+_DUMPS = ("--scalogram", "s.tsv", "--maxima", "m.tsv")
+
+
+@pytest.mark.parametrize(
+    "command, setting, code, message, dumps",
+    [pytest.param(*case, dumps, id="-".join((*case[:2], case[3]))
+                  + ("-dumps" if dumps else ""))
+     for case in _REFUSED
+     for dumps in ((), _DUMPS)[:2 if case[0] == "analyze" else 1]])
 def test_out_of_range_grid_and_wavelet_are_invalid_input(
-        tmp_path, capsys, sweep_inputs, command, setting, message):
+        tmp_path, capsys, sweep_inputs, command, setting, code, message,
+        dumps):
+    """A refused run writes nothing, the streamed scalogram included."""
     to = "--report" if command == "analyze" else "--json"
-    assert main([command, sweep_inputs[command], setting, to,
-                 str(tmp_path / "out.json")]) == 2
+    argv = [command, sweep_inputs[command], setting, to,
+            str(tmp_path / "out.json")]
+    argv += [str(tmp_path / a) if a.endswith(".tsv") else a for a in dumps]
+    assert main(argv) == code
     assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
@@ -445,27 +461,53 @@ print("rc", code, "peak_kib", hwm)
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads the peak resident set size from /proc")
+def _peak_mb(*argv) -> float:
+    """The peak RSS, in MB, of `wavekit *argv` run in a fresh child, which
+    must exit 0."""
+    src = str(Path(wavekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    last = done.stdout.split("\n")[-2].split()
+    assert last[:2] == ["rc", "0"], done.stderr
+    return int(last[3]) / 1024
+
+
+_NEEDS_PROC = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"),
+    reason="reads the peak resident set size from /proc")
+
+
+@_NEEDS_PROC
 def test_analyze_report_at_64k_holds_no_scale_time_matrix(tmp_path):
     # the 105 x 65 536 coefficient matrix alone is 55 MB, and a |W| copy
     # of it as much again; the report needs neither
     signal = str(tmp_path / "big.csv")
     write_signal_csv(signal, gen_chirp_jump(65536, sigma=0.3, seed=1))
-    src = str(Path(wavekit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_CHILD, "analyze", signal,
-         "--report", str(tmp_path / "r.json")],
-        env=env, capture_output=True, text=True, timeout=300)
-    last = done.stdout.split("\n")[-2].split()
-    assert last[:2] == ["rc", "0"], done.stderr
-    assert int(last[3]) / 1024 <= 100.0
+    assert _peak_mb("analyze", signal,
+                    "--report", str(tmp_path / "r.json")) <= 100.0
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads the peak resident set size from /proc")
+@_NEEDS_PROC
+def test_analyze_streams_its_dumps(tmp_path):
+    # the scalogram is written row by row as the transform makes the rows,
+    # so the dumps add little to the peak of the report alone on the same
+    # input (about 3 MB: one row's text and the maxima writer's block);
+    # the 81 x 8192 complex matrix with its |W| and |W|^2 / a copies
+    # added 20 MB
+    signal = str(tmp_path / "chirp.csv")
+    write_signal_csv(signal, gen_chirp_jump(8192, sigma=0.3, seed=1))
+    run = ("analyze", signal, "--wavelet", "morlet",
+           "--report", str(tmp_path / "r.json"))
+    alone = _peak_mb(*run)
+    dumps = _peak_mb(*run, "--scalogram", str(tmp_path / "s.tsv"),
+                     "--maxima", str(tmp_path / "m.tsv"))
+    assert dumps - alone <= 5.0
+
+
+@_NEEDS_PROC
 def test_estimate_at_256k_computes_only_interior_rows(tmp_path):
     # 262 144 samples at the estimation grid's 102 scales: the variance
     # rows run at one FFT length, 262 144, and only their columns outside
@@ -473,17 +515,8 @@ def test_estimate_at_256k_computes_only_interior_rows(tmp_path):
     # own length, up to 364 500, and reducing full rows peaked at 76-83 MB
     signal = str(tmp_path / "fbm.csv")
     write_signal_csv(signal, gen_fbm(hurst=0.7, n=262144, seed=1))
-    src = str(Path(wavekit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_CHILD, "estimate", signal,
-         "--json", str(tmp_path / "e.json"),
-         "--covariance", str(tmp_path / "c.tsv")],
-        env=env, capture_output=True, text=True, timeout=300)
-    last = done.stdout.split("\n")[-2].split()
-    assert last[:2] == ["rc", "0"], done.stderr
-    assert int(last[3]) / 1024 <= 70.0
+    assert _peak_mb("estimate", signal, "--json", str(tmp_path / "e.json"),
+                    "--covariance", str(tmp_path / "c.tsv")) <= 70.0
 
 
 # ----------------------------------------------------------- argparse layer

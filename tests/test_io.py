@@ -1,4 +1,5 @@
 import hashlib
+import os
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -16,7 +17,8 @@ from wavekit import (DetectionConfig, InvalidSignalError, MaximaSet,
                      modulus_maxima, scalogram, wavelet_autocovariance)
 from wavekit.io import (RunManifest, _fnum, points_to_image, read_json,
                         read_pgm, read_points_csv, read_run_manifest,
-                        read_signal_csv, write_covariance_tsv, write_json,
+                        read_signal_csv, scalogram_tsv,
+                        write_covariance_tsv, write_json,
                         write_maxima_tsv, write_pgm, write_points_csv,
                         write_scalogram_tsv, write_signal_csv)
 
@@ -420,7 +422,7 @@ def _special_values(size, seed):
     return out
 
 
-@pytest.fixture(params=[7, 65536], ids=["blocks-of-7", "default-blocks"])
+@pytest.fixture(params=[7, 8192], ids=["blocks-of-7", "default-blocks"])
 def block_rows(request, monkeypatch):
     monkeypatch.setattr(wavekit.io, "_BLOCK_ROWS", request.param)
     return request.param
@@ -456,6 +458,18 @@ def test_scalogram_tsv_bytes_match_the_row_formatter(tmp_path, block_rows):
         "# b\ta\tS\n", "\t",
         [(times[i], scales[j], values[j, i])
          for j in range(scales.size) for i in range(times.size)])
+
+
+def test_scalogram_tsv_is_created_at_its_first_row(tmp_path):
+    p = tmp_path / "s.tsv"
+    with scalogram_tsv(str(p), np.arange(3.0)) as write:
+        assert not p.exists()
+        write(0.5, np.ones(3))
+        assert p.exists()
+    assert p.read_bytes().count(b"\n") == 4
+    with scalogram_tsv(str(p.with_name("none.tsv")), np.arange(3.0)):
+        pass
+    assert sorted(os.listdir(tmp_path)) == ["s.tsv"]
 
 
 def test_maxima_tsv_bytes_match_the_row_formatter(tmp_path, block_rows):

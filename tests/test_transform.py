@@ -4,6 +4,7 @@ modulus-maxima behaviour."""
 
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,11 +15,11 @@ from scipy.integrate import quad
 
 from wavekit import (CwtMatrix, Haar, MexicanHat, Morlet, ScaleGrid,
                      ScaleTooFineError, TimeSeries, cwt_direct, cwt_fft,
-                     cwt_maxima, modulus_maxima, scalogram, support_radius,
-                     wavelet_variance)
+                     cwt_maxima, gen_chirp_jump, modulus_maxima, scalogram,
+                     support_radius, wavelet_variance)
 from wavekit import transform
-from wavekit.transform import (_check_grid, _fft_rows, _kernel, _links, _match,
-                               _smooth_length)
+from wavekit.transform import (_check_grid, _fft_rows, _index_dtype, _kernel,
+                               _links, _match, _smooth_length)
 
 WAVELETS = [MexicanHat(), Morlet(), Haar()]
 
@@ -204,6 +205,20 @@ def test_pooled_rows_match_when_the_fft_length_changes_every_scale(w, cpus):
     _assert_pool_bounds(cpus, g.n_scales)
 
 
+@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
+def test_consumed_rows_come_in_scale_order_on_the_calling_thread(w, cpus):
+    f = _noise(2000, 7)
+    g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
+    got = []
+    _fft_rows(f, w, g, lambda j, row: None, consume=lambda j, row: got.append(
+        (j, threading.get_ident(), row)))
+    assert [j for j, _, _ in got] == list(range(g.n_scales))
+    assert {t for _, t, _ in got} == {threading.get_ident()}
+    assert np.array_equal(np.array([row for _, _, row in got]),
+                          _serial_cwt_fft(f, w, g))
+    _assert_pool_bounds(cpus, g.n_scales)
+
+
 class _TracedHat(MexicanHat):
     """A Mexican hat that records which threads sample it."""
 
@@ -235,18 +250,22 @@ def _fail_in_row(bad):
     return emit
 
 
-@pytest.mark.parametrize("where", ["first row", "last row", "kernel"])
+@pytest.mark.parametrize("where", ["first row", "last row", "kernel",
+                                   "consumer"])
 def test_failures_reach_the_caller_and_stop_the_pool(cpus, where):
     before = set(threading.enumerate())
     f = _noise(2000, 4)
     g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
     bad = 0 if where == "first row" else g.n_scales - 1
     w, emit, message = MexicanHat(), _fail_in_row(bad), f"row {bad} failed"
+    consume = None
     if where == "kernel":
         w, emit, message = _TracedHat(set(), fail_at=100), \
             lambda j, row: None, "kernel failed"
+    if where == "consumer":
+        emit, consume = lambda j, row: None, _fail_in_row(bad)
     with pytest.raises(RuntimeError, match=message):
-        _fft_rows(f, w, g, emit)
+        _fft_rows(f, w, g, emit, consume=consume)
     assert not [t for t in threading.enumerate()
                 if t not in before and t.is_alive()]
 
@@ -645,6 +664,7 @@ def _assert_matches_reference(c):
                                                     lines)
     # the matching rounds link exactly what the loops link
     head, new = _links(m.scale_idx, m.time_idx, c.scales, c.dt, c.n_times)
+    assert head.dtype == new.dtype == np.int32
     assert np.array_equal(_match(head, new, m.n_points), parent)
     assert np.array_equal(_greedy_parent(head, new, m.n_points), parent)
     mag = np.abs(c.coefficients)
@@ -715,18 +735,60 @@ def test_matching_rounds_equal_the_greedy_pass_on_dense_conflicts(seed):
     n_points, n_links = int(rng.integers(2, 30)), int(rng.integers(0, 200))
     head = rng.integers(0, n_points, n_links)
     new = rng.integers(0, n_points, n_links)
-    assert np.array_equal(_match(head, new, n_points),
-                          _greedy_parent(head, new, n_points))
+    for dtype in (np.int32, np.int64):
+        assert np.array_equal(
+            _match(head.astype(dtype), new.astype(dtype), n_points),
+            _greedy_parent(head, new, n_points))
 
 
 def test_matching_takes_a_cascade_link_by_link():
     # link r shares its new point with link r - 1 and its head with link
     # r + 1, so each round takes only the earliest link left
-    head = np.array([0, 1, 1, 2, 2, 3])
-    new = np.array([5, 5, 6, 6, 7, 7])
+    head = np.array([0, 1, 1, 2, 2, 3], dtype=np.int32)
+    new = np.array([5, 5, 6, 6, 7, 7], dtype=np.int32)
     assert np.array_equal(_match(head, new, 8),
                           _greedy_parent(head, new, 8))
     assert _match(head, new, 8)[5:].tolist() == [0, 1, 2]
+
+
+def test_chaining_indices_are_int32_while_every_count_fits():
+    assert _index_dtype(10, 100) == np.int32
+    assert _index_dtype(2**30 - 1, 2**31 - 2) == np.int32
+    # 2**30 points may have 2**31 links, and a rank must hold their count
+    assert _index_dtype(2**30, 100) == np.int64
+    assert _index_dtype(10, 2**31) == np.int64
+
+
+@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
+def test_chaining_in_int64_links_the_same_lines(w, monkeypatch):
+    f = _noise(2000, 9)
+    c = cwt_fft(f, w, ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 2.0, 8.0))
+    want = modulus_maxima(c)
+    monkeypatch.setattr(transform, "_index_dtype", lambda n_points, n: np.int64)
+    got = modulus_maxima(c)
+    for name in ("time_idx", "scale_idx", "values", "line_points",
+                 "line_offsets", "line_host"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_chaining_at_64k_stays_within_20_mb():
+    # 210 934 maxima: int64 links built over every scale at once took the
+    # chaining to 21.6 MB; int32 ones built a scale pair at a time, 7.2 MB
+    f = gen_chirp_jump(65536, sigma=0.3, seed=1)
+    w, g = MexicanHat(), ScaleGrid.default_for(f)
+    add, collect = transform._maxima_reducer(g.n_scales)
+    _fft_rows(f, w, g, add)
+    collected = collect()
+    assert collected[0].size > 200000
+    times, cone = f.time_axis(), transform._cone(f, w, g)
+    tracemalloc.start()
+    try:
+        transform._chain(collected, g.scales, times, cone, f.dt, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 # ------------------------------------------- streamed maxima (cwt_maxima)
@@ -743,8 +805,11 @@ def test_streamed_maxima_are_the_matrix_route_bits(w, n, cpus):
                        wavelet=w)
     _CountingPool.made.clear()
     want = modulus_maxima(matrix)
-    got = cwt_maxima(f, w, g)
+    rows = []
+    got = cwt_maxima(f, w, g, lambda j, row: rows.append(row))
     _assert_pool_bounds(cpus, g.n_scales)
+    # the rows a consumer sees are the matrix's rows, in scale order
+    assert np.array_equal(np.array(rows), c)
     for name in ("time_idx", "scale_idx", "values", "line_points",
                  "line_offsets", "line_host", "scales", "times",
                  "cone_of_influence", "row_max", "finest"):

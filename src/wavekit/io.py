@@ -370,6 +370,8 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 
 
 def read_pgm(path: str) -> np.ndarray:
+    """An 8-bit binary (P5) PGM as a (height, width) uint8 array; any other
+    header or maxval raises InvalidSignalError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     fields = []
@@ -387,7 +389,13 @@ def read_pgm(path: str) -> np.ndarray:
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise InvalidSignalError(f"{path}: not a binary PGM")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if not all(v.isdigit() for v in fields[1:]):
+        raise InvalidSignalError(
+            f"{path}: PGM header is truncated or not numeric")
+    w, h, maxval = (int(v) for v in fields[1:])
+    if not 0 < maxval < 256:
+        raise InvalidSignalError(
+            f"{path}: PGM maxval {maxval}; only 8-bit images are read")
     pos += 1  # single whitespace byte after maxval
     raster = np.frombuffer(data[pos:pos + w * h], dtype=np.uint8)
     if raster.size != w * h:

@@ -91,16 +91,14 @@ def require_fit_grid(g: ScaleGrid) -> None:
         raise TooFewScalesError(f"{g.n_scales} scales cannot support a fit")
 
 
-def _row_reducer(scales: np.ndarray, cone: np.ndarray, n: int):
-    """(values, counts, add) for the interiors of n-column rows, one per
-    scale.
+def _interior_counts(scales: np.ndarray, cone: np.ndarray, n: int):
+    """Per scale, the number of an n-column row's columns outside the cone
+    of influence, its interior.
 
-    A row's interior is its columns outside the cone of influence,
-    [k, n - k) for a cone k samples wide: boundary response biases the
-    coarse scales upward. add(j, interior) stores the mean |W|^2 of row
-    j's n - 2k interior coefficients; it runs in any order and from any
-    thread. The first scale that keeps no column (k >= n - k) raises
-    NoValidSamplesError here, before any row arrives, so every cone that
+    A row's interior is its columns outside the cone, [k, n - k) for a
+    cone k samples wide: boundary response biases the coarse scales
+    upward. The first scale that keeps no column (k >= n - k) raises
+    NoValidSamplesError, before any row is computed, so every cone that
     passes is narrower than n / 2, as wavelet_variance's FFT length needs.
     """
     widths = cone.tolist()
@@ -109,22 +107,21 @@ def _row_reducer(scales: np.ndarray, cone: np.ndarray, n: int):
             raise NoValidSamplesError(
                 f"scale {a:.6g} leaves no samples outside the cone "
                 f"of influence; shrink the grid ceiling")
-    values = np.empty(scales.size)
-    counts = np.array([n - 2 * k for k in widths], dtype=np.int64)
+    return np.array([n - 2 * k for k in widths], dtype=np.int64)
 
-    def add(j, interior):
-        values[j] = np.mean(np.abs(interior) ** 2)
 
-    return values, counts, add
+def _mean_power(j: int, interior: np.ndarray) -> float:
+    """Mean |W|^2 of row j's interior coefficients."""
+    return np.mean(np.abs(interior) ** 2)
 
 
 def wavelet_autocovariance(c: CwtMatrix) -> WaveletAutoCovariance:
     """Average |W(a, b)|^2 over b outside the cone of influence at each
     scale."""
     n = len(c.times)
-    values, counts, add = _row_reducer(c.scales, c.cone_of_influence, n)
-    for j, (row, k) in enumerate(zip(c.coefficients, c.cone_of_influence)):
-        add(j, row[k:n - k])
+    counts = _interior_counts(c.scales, c.cone_of_influence, n)
+    values = np.array([_mean_power(j, row[k:n - k]) for j, (row, k) in
+                       enumerate(zip(c.coefficients, c.cone_of_influence))])
     return WaveletAutoCovariance(scales=c.scales.copy(), values=values,
                                  counts=counts, wavelet=c.wavelet.name,
                                  n_samples=n, dt=c.dt)
@@ -136,8 +133,8 @@ def wavelet_variance(f: TimeSeries, wavelet: Wavelet,
 
     Only each row's columns outside the cone of influence are computed,
     all at the one FFT length smooth(n) from one signal spectrum (exact on
-    those columns, see the transform module), and each is reduced as it
-    arrives and then dropped, so the scale x time matrix is never held.
+    those columns, see the transform module), and the worker that computed
+    each row reduces it to its mean |W|^2, so the matrix is never held.
     The values agree with the matrix route to FFT roundoff, within 1e-12
     relative per scale, and have the same bits for any worker count;
     counts and scales are the same. A too-fine grid (ScaleTooFineError)
@@ -146,8 +143,9 @@ def wavelet_variance(f: TimeSeries, wavelet: Wavelet,
     """
     _check_grid(f, wavelet, grid)
     cone = _cone(f, wavelet, grid)
-    values, counts, add = _row_reducer(grid.scales, cone, f.n)
-    _fft_rows(f, wavelet, grid, add, cone)
+    counts = _interior_counts(grid.scales, cone, f.n)
+    values = np.fromiter(_fft_rows(f, wavelet, grid, _mean_power, cone),
+                         dtype=np.float64, count=grid.n_scales)
     return WaveletAutoCovariance(scales=grid.scales.copy(), values=values,
                                  counts=counts, wavelet=wavelet.name,
                                  n_samples=f.n, dt=f.dt)

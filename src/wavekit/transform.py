@@ -30,19 +30,22 @@ L points and has two length rules:
 
 The rows run on a thread pool with one worker per CPU the process may use,
 fed in scale order; numpy's FFT releases the GIL, and each row gets the
-same bits as in a one-thread loop.
+same bits as in a one-thread loop. Each worker reduces the row it
+computed with a per-row function that writes nothing shared across rows,
+and the calling thread gets the results back in scale order.
 
-Modulus maxima are found one row at a time by a single row reducer, which
-modulus_maxima feeds from a computed matrix and cwt_maxima feeds from the
-pool as each row arrives, so cwt_maxima never holds the scale x time
-matrix: its memory is O(n) plus the maxima. cwt_maxima can also hand each
-row, in scale order, to a consumer on the calling thread, which is how
-analyze writes its scalogram: analyze holds no CwtMatrix on any path. The
-maxima are chained into lines by matching rounds over flat arrays, whose
-temporaries are int32 while every index fits, and a MaximaSet holds the
-lines as a line-sorted permutation of the points, line offsets and the
-line each one merged into, next to what detection reads of the transform
-(each row's largest |W| and the finest row): detection needs no CwtMatrix.
+Modulus maxima are found one row at a time by _row_maxima, which
+modulus_maxima applies to the rows of a computed matrix and cwt_maxima
+runs in the pool as each row is computed, so cwt_maxima never holds the
+scale x time matrix: its memory is O(n) plus the maxima. cwt_maxima can
+also hand each row, in scale order, to a consumer on the calling thread,
+which is how analyze writes its scalogram: analyze holds no CwtMatrix on
+any path. The maxima are chained into lines by matching rounds over flat
+arrays, whose temporaries are int32 while every index fits, and a
+MaximaSet holds the lines as a line-sorted permutation of the points, line
+offsets and the line each one merged into, next to what detection reads
+of the transform (each row's largest |W| and the finest row): detection
+needs no CwtMatrix.
 """
 
 from __future__ import annotations
@@ -277,23 +280,21 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit,
-              cone=None, consume=None) -> None:
-    """Compute every cwt_fft row and hand it to emit(j, row), scale j.
+def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=None):
+    """Yield reduce(j, row) for every cwt_fft row j, in scale order.
 
     The calling thread samples each kernel and each new signal spectrum in
     scale order; a pool of one worker per usable CPU (at most one per
     scale) runs the kernel FFT, the product, the inverse FFT and the
-    scaling, then calls emit from the worker with the row, which emit may
-    keep. At most one row per worker is in flight, and an exception in a
-    row is raised here once the pool has stopped. The row bits do not
-    depend on the worker count: each row runs the same numpy calls on the
-    same inputs as a serial loop would.
-
-    With consume, the calling thread also calls consume(j, row) with each
-    row, in scale order, as it collects the row's job: the jobs are
-    collected in the order they were submitted, so the rows in flight are
-    the only ones held and no reorder buffer is needed.
+    scaling, then reduce(j, row) on the row it computed, and the job keeps
+    only reduce's result, which may be the row itself. The jobs are
+    collected in the order they were submitted, so the results come in
+    scale order with no reorder buffer. At most one job per worker is in
+    flight: an exception in a job is raised here once the pool has
+    stopped, and a caller that stops iterating (or closes the generator)
+    stops the pool after at most one more row per worker. The row bits do
+    not depend on the worker count: each row runs the same numpy calls on
+    the same inputs as a serial loop would.
 
     With cone, the widths k_j of a cone of influence with 2 k_j < n, row j
     is only its columns [k_j, n - k_j), and every row runs at the one
@@ -312,15 +313,7 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit,
         # K is at least 256 KiB (its temporary-elision threshold); below
         # that the product is x_spec . K
         r = ifft(x_spec * fft(c[::-1], size), size)[lo:hi]
-        emit(j, np.multiply(r, f.dt / np.sqrt(g.scales[j]), out=r))
-        # a finished job holds its row only when the caller reads it
-        return r if consume is not None else None
-
-    def collect(pending):
-        j, job = pending.popleft()
-        r = job.result()
-        if consume is not None:
-            consume(j, r)
+        return reduce(j, np.multiply(r, f.dt / np.sqrt(g.scales[j]), out=r))
 
     workers = min(_cpu_count(), g.n_scales)
     with ThreadPoolExecutor(workers) as pool:
@@ -338,11 +331,11 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, emit,
                 size = length
                 x_spec = fft(x, size)
             if len(pending) == workers:
-                collect(pending)
-            pending.append((j, pool.submit(row, j, c, m_hi + k,
-                                           m_hi + n - k, size, x_spec)))
+                yield pending.popleft().result()
+            pending.append(pool.submit(row, j, c, m_hi + k, m_hi + n - k,
+                                       size, x_spec))
         while pending:
-            collect(pending)
+            yield pending.popleft().result()
 
 
 def cwt_fft(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
@@ -356,12 +349,14 @@ def cwt_fft(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
     indices 0 .. n + m_hi - m_lo - 1, and at this L the entries that wrap
     around land outside the kept slice m_hi .. m_hi + n - 1. L never shrinks
     as the scales grow, so the signal spectrum is recomputed only when L
-    changes. The rows run on a pool with one worker per usable CPU, fed in
-    scale order; every coefficient has the same bits as in a serial loop.
+    changes. The rows run on a pool with one worker per usable CPU and come
+    back in scale order; every coefficient has the same bits as in a serial
+    loop.
     """
     dtype = np.complex128 if w.is_complex else np.float64
     out = np.empty((g.n_scales, f.n), dtype=dtype)
-    _fft_rows(f, w, g, out.__setitem__)
+    for j, row in enumerate(_fft_rows(f, w, g, lambda j, row: row)):
+        out[j] = row
     return CwtMatrix(coefficients=out, scales=g.scales.copy(), times=f.time_axis(),
                      cone_of_influence=_cone(f, w, g), dt=f.dt, wavelet=w)
 
@@ -378,37 +373,25 @@ def scalogram(c: CwtMatrix) -> Scalogram:
                      scales=c.scales, times=c.times)
 
 
-def _maxima_reducer(n_scales: int):
-    """(add, collect) for the modulus maxima of rows, one per scale.
+def _row_maxima(j: int, row: np.ndarray) -> tuple:
+    """Row j's modulus maxima as (time indices, their |W|, the row's
+    largest |W|, and for j = 0 a copy of the row's real part, else None)."""
+    mag = np.abs(row)
+    is_max = np.zeros(mag.size, dtype=bool)
+    np.greater(mag[1:-1], mag[:-2], out=is_max[1:-1])
+    is_max[1:-1] &= mag[1:-1] >= mag[2:]
+    idx = np.flatnonzero(is_max)
+    return idx, mag[idx], mag.max(), row.real.copy() if j == 0 else None
 
-    add(j, row) keeps row j's maxima and their |W|, its largest |W| and,
-    for j = 0, a copy of its real part, in any order and from any thread.
-    collect() returns (time_idx, scale_idx, values, row_max, finest) with
-    the points in (scale, time) order once every row has been added.
-    """
-    peaks = [None] * n_scales
-    row_max = np.empty(n_scales)
-    finest = [None]
 
-    def add(j, row):
-        mag = np.abs(row)
-        is_max = np.zeros(mag.size, dtype=bool)
-        np.greater(mag[1:-1], mag[:-2], out=is_max[1:-1])
-        is_max[1:-1] &= mag[1:-1] >= mag[2:]
-        row_max[j] = mag.max()
-        idx = np.flatnonzero(is_max)
-        peaks[j] = idx, mag[idx]
-        if j == 0:
-            finest[0] = row.real.copy()
-
-    def collect():
-        time_idx = np.concatenate([p[0] for p in peaks])
-        scale_idx = np.repeat(np.arange(n_scales), [p[0].size for p in peaks])
-        values = np.concatenate([p[1] for p in peaks])
-        peaks.clear()  # the chaining runs while the reducer is still alive
-        return time_idx, scale_idx, values, row_max, finest[0]
-
-    return add, collect
+def _collect_maxima(peaks: list) -> tuple:
+    """(time_idx, scale_idx, values, row_max, finest) from every row's
+    _row_maxima in scale order, the points in (scale, time) order."""
+    time_idx = np.concatenate([p[0] for p in peaks])
+    scale_idx = np.repeat(np.arange(len(peaks)), [p[0].size for p in peaks])
+    values = np.concatenate([p[1] for p in peaks])
+    row_max = np.array([p[2] for p in peaks])
+    return time_idx, scale_idx, values, row_max, peaks[0][3]
 
 
 def _index_dtype(n_points: int, n: int):
@@ -486,7 +469,7 @@ def _match(head: np.ndarray, new: np.ndarray, n_points: int) -> np.ndarray:
 
 def _chain(collected, scales: np.ndarray, times: np.ndarray, cone: np.ndarray,
            dt: float, wavelet: Wavelet) -> MaximaSet:
-    """MaximaSet from what a maxima reducer collected over every row."""
+    """MaximaSet from what _collect_maxima collected over every row."""
     time_idx, scale_idx, values, row_max, finest = collected
     n_scales, n_points = scales.size, scale_idx.size
     head, new = _links(scale_idx, time_idx, scales, dt, times.size)
@@ -539,10 +522,9 @@ def modulus_maxima(c: CwtMatrix) -> MaximaSet:
     line_host. Lines are numbered in the order of their first point. The
     matrix is read one row at a time, so no temporary of its size is made.
     """
-    add, collect = _maxima_reducer(c.n_scales)
-    for j, row in enumerate(c.coefficients):
-        add(j, row)
-    return _chain(collect(), c.scales, c.times, c.cone_of_influence, c.dt,
+    collected = _collect_maxima([_row_maxima(j, row)
+                                 for j, row in enumerate(c.coefficients)])
+    return _chain(collected, c.scales, c.times, c.cone_of_influence, c.dt,
                   c.wavelet)
 
 
@@ -553,11 +535,19 @@ def cwt_maxima(f: TimeSeries, w: Wavelet, g: ScaleGrid,
     Each cwt_fft row is searched for its maxima in the worker that computed
     it and then dropped, so the scale x time matrix is never held: memory
     is O(n) plus the maxima. The result is the same to the bit. With
-    consume, the calling thread also gets every row, as consume(j, row)
-    in scale order, while the transform runs; this is how a scalogram is
-    written without the matrix.
+    consume, the workers also hand back each row, and the calling thread
+    calls consume(j, row) with it in scale order while the transform runs;
+    this is how a scalogram is written without the matrix.
     """
-    add, collect = _maxima_reducer(g.n_scales)
-    _fft_rows(f, w, g, add, consume=consume)
-    return _chain(collect(), g.scales.copy(), f.time_axis(), _cone(f, w, g),
+    if consume is None:
+        peaks = list(_fft_rows(f, w, g, _row_maxima))
+    else:
+        peaks = []
+        for j, (row, p) in enumerate(_fft_rows(
+                f, w, g, lambda j, row: (row, _row_maxima(j, row)))):
+            consume(j, row)
+            peaks.append(p)
+    collected = _collect_maxima(peaks)
+    del peaks  # freed before the chaining
+    return _chain(collected, g.scales.copy(), f.time_axis(), _cone(f, w, g),
                   f.dt, w)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -255,6 +256,25 @@ def test_pgm_rejects_short_raster(tmp_path):
     p = tmp_path / "t.pgm"
     p.write_bytes(b"P5\n4 4\n255\n\x00\x01\x02")
     with pytest.raises(InvalidSignalError, match="truncated raster"):
+        read_pgm(str(p))
+
+
+@pytest.mark.parametrize("header", [b"P5\n2", b"P5\nx y\n255\n",
+                                    b"P5\n2 -1\n255\n\x00\x00"])
+def test_pgm_rejects_a_truncated_or_non_numeric_header(tmp_path, header):
+    p = tmp_path / "h.pgm"
+    p.write_bytes(header)
+    with pytest.raises(InvalidSignalError,
+                       match=re.escape(f"{p}: PGM header is truncated")):
+        read_pgm(str(p))
+
+
+@pytest.mark.parametrize("maxval", [0, 256, 65535])
+def test_pgm_rejects_a_maxval_outside_8_bits(tmp_path, maxval):
+    # a 16-bit 2 x 1 image, two bytes a pixel, once read as [[0, 1]]
+    p = tmp_path / "m.pgm"
+    p.write_bytes(b"P5\n2 1\n%d\n\x00\x01\x00\x02" % maxval)
+    with pytest.raises(InvalidSignalError, match=re.escape(f"{p}: PGM maxval {maxval};")):
         read_pgm(str(p))
 
 

@@ -209,12 +209,16 @@ def test_pooled_rows_match_when_the_fft_length_changes_every_scale(w, cpus):
 def test_consumed_rows_come_in_scale_order_on_the_calling_thread(w, cpus):
     f = _noise(2000, 7)
     g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
+    # each worker reduces its own row; the results reach the caller in
+    # scale order, on the thread that iterates
     got = []
-    _fft_rows(f, w, g, lambda j, row: None, consume=lambda j, row: got.append(
-        (j, threading.get_ident(), row)))
-    assert [j for j, _, _ in got] == list(range(g.n_scales))
-    assert {t for _, t, _ in got} == {threading.get_ident()}
-    assert np.array_equal(np.array([row for _, _, row in got]),
+    for j, worker, row in _fft_rows(
+            f, w, g, lambda j, row: (j, threading.get_ident(), row)):
+        got.append((j, threading.get_ident(), worker, row))
+    assert [j for j, _, _, _ in got] == list(range(g.n_scales))
+    assert {t for _, t, _, _ in got} == {threading.get_ident()}
+    assert threading.get_ident() not in {t for _, _, t, _ in got}
+    assert np.array_equal(np.array([row for _, _, _, row in got]),
                           _serial_cwt_fft(f, w, g))
     _assert_pool_bounds(cpus, g.n_scales)
 
@@ -234,20 +238,20 @@ class _TracedHat(MexicanHat):
 
 
 def test_kernels_are_sampled_in_the_calling_thread(cpus):
-    threads, emitted = set(), []
+    threads = set()
     f = _noise(2000, 3)
     g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
-    _fft_rows(f, _TracedHat(threads), g,
-              lambda j, row: emitted.append(threading.get_ident()))
+    reduced = list(_fft_rows(f, _TracedHat(threads), g,
+                             lambda j, row: threading.get_ident()))
     assert threads == {threading.get_ident()}
-    assert len(emitted) == g.n_scales
+    assert len(reduced) == g.n_scales
 
 
 def _fail_in_row(bad):
-    def emit(j, row):
+    def reduce(j, row):
         if j == bad:
             raise RuntimeError(f"row {bad} failed")
-    return emit
+    return reduce
 
 
 @pytest.mark.parametrize("where", ["first row", "last row", "kernel",
@@ -257,17 +261,49 @@ def test_failures_reach_the_caller_and_stop_the_pool(cpus, where):
     f = _noise(2000, 4)
     g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
     bad = 0 if where == "first row" else g.n_scales - 1
-    w, emit, message = MexicanHat(), _fail_in_row(bad), f"row {bad} failed"
-    consume = None
+    w, reduce, message = MexicanHat(), _fail_in_row(bad), f"row {bad} failed"
     if where == "kernel":
-        w, emit, message = _TracedHat(set(), fail_at=100), \
+        w, reduce, message = _TracedHat(set(), fail_at=100), \
             lambda j, row: None, "kernel failed"
-    if where == "consumer":
-        emit, consume = lambda j, row: None, _fail_in_row(bad)
     with pytest.raises(RuntimeError, match=message):
-        _fft_rows(f, w, g, emit, consume=consume)
+        if where == "consumer":
+            cwt_maxima(f, w, g, _fail_in_row(bad))
+        else:
+            list(_fft_rows(f, w, g, reduce))
     assert not [t for t in threading.enumerate()
                 if t not in before and t.is_alive()]
+
+
+class _CountedHat(MexicanHat):
+    """A Mexican hat that counts its kernels, sampled one per row."""
+
+    def __init__(self):
+        object.__setattr__(self, "kernels", 0)
+
+    def psi(self, t):
+        object.__setattr__(self, "kernels", self.kernels + 1)
+        return super().psi(t)
+
+
+@pytest.mark.parametrize("stop", ["break", "consumer"])
+def test_a_caller_that_stops_early_stops_the_pool(cpus, stop):
+    before = set(threading.enumerate())
+    f = _noise(2000, 4)
+    g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
+    w, last = _CountedHat(), 5
+    if stop == "break":
+        for j, _ in enumerate(_fft_rows(f, w, g, lambda j, row: None)):
+            if j == last:
+                break
+    else:
+        with pytest.raises(RuntimeError, match=f"row {last} failed"):
+            cwt_maxima(f, w, g, _fail_in_row(last))
+    assert not [t for t in threading.enumerate()
+                if t not in before and t.is_alive()]
+    # the calling thread sampled kernels for rows 0 .. last, which reached
+    # it, and for at most one more row per worker
+    assert g.n_scales > last + 1 + cpus
+    assert last + 1 <= w.kernels <= last + 1 + cpus
 
 
 # ------------------------------------------------- agreement and the oracle
@@ -777,9 +813,8 @@ def test_chaining_at_64k_stays_within_20_mb():
     # chaining to 21.6 MB; int32 ones built a scale pair at a time, 7.2 MB
     f = gen_chirp_jump(65536, sigma=0.3, seed=1)
     w, g = MexicanHat(), ScaleGrid.default_for(f)
-    add, collect = transform._maxima_reducer(g.n_scales)
-    _fft_rows(f, w, g, add)
-    collected = collect()
+    collected = transform._collect_maxima(
+        list(_fft_rows(f, w, g, transform._row_maxima)))
     assert collected[0].size > 200000
     times, cone = f.time_axis(), transform._cone(f, w, g)
     tracemalloc.start()
@@ -821,8 +856,8 @@ def test_streamed_maxima_are_the_matrix_route_bits(w, n, cpus):
 
 
 def test_streamed_maxima_survive_thread_switches_in_every_row(monkeypatch):
-    # seven workers on 97 rows with a switch interval of 1 us: rows land in
-    # the reducer out of order and interleaved, and none may be lost
+    # seven workers on 97 rows with a switch interval of 1 us: the workers
+    # reduce rows out of order and interleaved, and none may be lost
     monkeypatch.setattr(transform, "_cpu_count", lambda: 7)
     f = _noise(3000, 11)
     g = ScaleGrid.log_spaced(2.0 * f.dt, 8.0 * f.dt, 48.0)

@@ -40,12 +40,14 @@ runs in the pool as each row is computed, so cwt_maxima never holds the
 scale x time matrix: its memory is O(n) plus the maxima. cwt_maxima can
 also hand each row, in scale order, to a consumer on the calling thread,
 which is how analyze writes its scalogram: analyze holds no CwtMatrix on
-any path. The maxima are chained into lines by matching rounds over flat
-arrays, whose temporaries are int32 while every index fits, and a
-MaximaSet holds the lines as a line-sorted permutation of the points, line
-offsets and the line each one merged into, next to what detection reads
-of the transform (each row's largest |W| and the finest row): detection
-needs no CwtMatrix.
+any path. The maxima are chained into lines one pair of adjacent scales
+at a time, by matching rounds over that pair's candidate links: a
+maximum links down only within the pair below its row and up only within
+the pair above, so the pairs' matchings do not interact. A MaximaSet
+holds the lines as a line-sorted permutation of the points, line offsets
+and the line each one merged into, next to what detection reads of the
+transform (each row's largest |W| and the finest row): detection needs no
+CwtMatrix.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class ScaleGrid:
     """Logarithmically spaced analysis scales."""
 
     scales: np.ndarray
-    voices_per_octave: float
 
     def __post_init__(self):
         scales = np.asarray(self.scales, dtype=np.float64)
@@ -93,8 +94,14 @@ class ScaleGrid:
                 f"voices per octave must be positive, got {voices_per_octave}")
         octaves = np.log2(ratio)
         count = int(np.floor(octaves * voices_per_octave + 1e-9)) + 1
-        scales = a_min * 2.0 ** (np.arange(count) / voices_per_octave)
-        return cls(scales=scales, voices_per_octave=float(voices_per_octave))
+        try:
+            scales = a_min * 2.0 ** (np.arange(count) / voices_per_octave)
+        except (MemoryError, ValueError):
+            # numpy refuses a size past its index range with a ValueError
+            raise ValueError(
+                f"{voices_per_octave} voices per octave make {count} scales, "
+                "more than can be allocated") from None
+        return cls(scales=scales)
 
     @classmethod
     def with_count(cls, a_min: float, a_max: float, count: int) -> "ScaleGrid":
@@ -104,10 +111,8 @@ class ScaleGrid:
         if not (0 < a_min <= a_max):
             raise ValueError(f"need 0 < a_min <= a_max, got {a_min}, {a_max}")
         if count == 1:
-            return cls(scales=np.array([a_min]), voices_per_octave=1.0)
-        scales = np.geomspace(a_min, a_max, count)
-        voices = (count - 1) / max(np.log2(a_max / a_min), 1e-300)
-        return cls(scales=scales, voices_per_octave=float(voices))
+            return cls(scales=np.array([a_min]))
+        return cls(scales=np.geomspace(a_min, a_max, count))
 
     @classmethod
     def default_for(cls, f: TimeSeries, voices_per_octave: float = 8.0) -> "ScaleGrid":
@@ -384,75 +389,50 @@ def _row_maxima(j: int, row: np.ndarray) -> tuple:
     return idx, mag[idx], mag.max(), row.real.copy() if j == 0 else None
 
 
-def _collect_maxima(peaks: list) -> tuple:
-    """(time_idx, scale_idx, values, row_max, finest) from every row's
-    _row_maxima in scale order, the points in (scale, time) order."""
-    time_idx = np.concatenate([p[0] for p in peaks])
-    scale_idx = np.repeat(np.arange(len(peaks)), [p[0].size for p in peaks])
-    values = np.concatenate([p[1] for p in peaks])
-    row_max = np.array([p[2] for p in peaks])
-    return time_idx, scale_idx, values, row_max, peaks[0][3]
+def _links(fine: np.ndarray, coarse: np.ndarray, reach: float):
+    """Candidate links (head, new) between the maxima of one row, at time
+    indices fine, and those of the row one scale up, at coarse.
 
-
-def _index_dtype(n_points: int, n: int):
-    """int32 when every point index, link count and time index fits in it,
-    else int64: the chaining's temporaries take this one dtype."""
-    return np.int32 if max(2 * n_points, n) < np.iinfo(np.int32).max \
-        else np.int64
-
-
-def _links(scale_idx: np.ndarray, time_idx: np.ndarray, scales: np.ndarray,
-           dt: float, n: int):
-    """Candidate links (head, new) between maxima on adjacent scales.
-
-    Every maximum not on the coarsest scale is paired with the at most two
-    maxima one scale up that flank its time index and lie within a_{j+1}/dt
-    samples of it. The pairs come sorted by (coarse scale, offset, coarse
-    time index, fine time index), a strict total order, as arrays of
-    _index_dtype. They are built one pair of scales at a time, so every
-    temporary is the size of one scale's maxima.
+    Every fine maximum is paired with the at most two coarse maxima that
+    flank its time index and lie within reach = a_{j+1}/dt samples of it.
+    head indexes fine and new indexes coarse, and the pairs come sorted by
+    (offset, coarse time index, fine time index), a strict total order.
     """
-    idx = _index_dtype(scale_idx.size, n)
-    bounds = np.searchsorted(scale_idx, np.arange(scales.size + 1))
-    heads, news = [np.empty(0, idx)], [np.empty(0, idx)]
-    for j in range(scales.size - 1):
-        fine = time_idx[bounds[j]:bounds[j + 1]]
-        coarse = time_idx[bounds[j + 1]:bounds[j + 2]]
-        # the right flank is the first coarse maximum at or after the fine
-        # one, the left flank the one before it
-        right = np.searchsorted(coarse, fine)
-        has_left, has_right = right > 0, right < coarse.size
-        head = np.concatenate((np.flatnonzero(has_left),
-                               np.flatnonzero(has_right)))
-        new = np.concatenate((right[has_left] - 1, right[has_right]))
-        dist = np.abs(coarse[new] - fine[head])
-        near = dist <= scales[j + 1] / dt
-        head, new, dist = head[near], new[near], dist[near]
-        order = np.lexsort((fine[head], coarse[new], dist))
-        heads.append((head[order] + bounds[j]).astype(idx))
-        news.append((new[order] + bounds[j + 1]).astype(idx))
-    return np.concatenate(heads), np.concatenate(news)
+    # the right flank is the first coarse maximum at or after the fine one,
+    # the left flank the one before it
+    right = np.searchsorted(coarse, fine)
+    has_left, has_right = right > 0, right < coarse.size
+    head = np.concatenate((np.flatnonzero(has_left),
+                           np.flatnonzero(has_right)))
+    new = np.concatenate((right[has_left] - 1, right[has_right]))
+    dist = np.abs(coarse[new] - fine[head])
+    near = dist <= reach
+    head, new, dist = head[near], new[near], dist[near]
+    order = np.lexsort((fine[head], coarse[new], dist))
+    return head[order], new[order]
 
 
-def _match(head: np.ndarray, new: np.ndarray, n_points: int) -> np.ndarray:
-    """parent[k] = h for the links the greedy pass over (head, new) takes.
+def _match(head: np.ndarray, new: np.ndarray, n_fine: int,
+           n_coarse: int) -> np.ndarray:
+    """parent[k] = h for the links (h, k) the greedy pass over (head, new)
+    takes, and -1 for a coarse point k it links to nothing.
 
-    The greedy pass takes the links in array order and skips one whose head
-    or new point is already linked. Here each round takes every link left
-    that comes first among the links left sharing its head or its new point
-    (it is locally dominant), then drops the links left with a linked end.
-    Under a strict order this takes exactly the greedy pass's links (Preis
+    head indexes n_fine points and new n_coarse others. The greedy pass
+    takes the links in array order and skips one whose head or new point
+    is already linked. Here each round takes every link left that comes
+    first among the links left sharing its head or its new point (it is
+    locally dominant), then drops the links left with a linked end. Under
+    a strict order this takes exactly the greedy pass's links (Preis
     1999): a locally dominant link meets no earlier link left, and the
-    earliest link left is always locally dominant. The parents and the
-    link ranks take head's dtype, which must hold head.size.
+    earliest link left is always locally dominant.
     """
-    parent = np.full(n_points, -1, dtype=head.dtype)
-    head_used = np.zeros(n_points, dtype=bool)
-    new_used = np.zeros(n_points, dtype=bool)
-    first_of_head = np.empty(n_points, dtype=head.dtype)
-    first_of_new = np.empty(n_points, dtype=head.dtype)
+    parent = np.full(n_coarse, -1, dtype=np.int64)
+    head_used = np.zeros(n_fine, dtype=bool)
+    new_used = np.zeros(n_coarse, dtype=bool)
+    first_of_head = np.empty(n_fine, dtype=np.int64)
+    first_of_new = np.empty(n_coarse, dtype=np.int64)
     # the links left: their ranks and ends
-    rank, h, k = np.arange(head.size, dtype=head.dtype), head, new
+    rank, h, k = np.arange(head.size), head, new
     while rank.size:
         first_of_head[h] = head.size
         first_of_new[k] = head.size
@@ -467,36 +447,48 @@ def _match(head: np.ndarray, new: np.ndarray, n_points: int) -> np.ndarray:
     return parent
 
 
-def _chain(collected, scales: np.ndarray, times: np.ndarray, cone: np.ndarray,
-           dt: float, wavelet: Wavelet) -> MaximaSet:
-    """MaximaSet from what _collect_maxima collected over every row."""
-    time_idx, scale_idx, values, row_max, finest = collected
-    n_scales, n_points = scales.size, scale_idx.size
-    head, new = _links(scale_idx, time_idx, scales, dt, times.size)
-    parent = _match(head, new, n_points)
-    # each point's first (nearest) link as head, or head.size with none
-    first = np.full(n_points, head.size, dtype=head.dtype)
-    np.minimum.at(first, head, np.arange(head.size, dtype=head.dtype))
-    del head
+def _chain(peaks: list, scales: np.ndarray, times: np.ndarray,
+           cone: np.ndarray, dt: float, wavelet: Wavelet) -> MaximaSet:
+    """MaximaSet from every row's _row_maxima, in scale order.
 
-    # a point with no parent opens the next line; the rest inherit theirs
-    bounds = np.searchsorted(scale_idx, np.arange(n_scales + 1))
-    line_id = np.cumsum(parent < 0) - 1
-    for j in range(1, n_scales):
-        seg = slice(bounds[j], bounds[j + 1])
-        linked = parent[seg] >= 0
-        line_id[seg][linked] = line_id[parent[seg][linked]]
-    del parent
+    The maxima are chained one pair of adjacent scales at a time. A
+    maximum links down only as the new point of the pair below its row and
+    up only as the head of the pair above, and _match keeps the used heads
+    apart from the used new points: so one greedy pass over every pair's
+    links takes exactly the links of a pass over each pair alone.
+    """
+    time_idx = np.concatenate([p[0] for p in peaks])
+    sizes = [p[0].size for p in peaks]
+    scale_idx = np.repeat(np.arange(len(peaks)), sizes)
+    values = np.concatenate([p[1] for p in peaks])
+    row_max = np.array([p[2] for p in peaks])
+    finest = peaks[0][3]
+    bounds = np.cumsum([0] + sizes)
+
+    # a linked point inherits its parent's line, and a point with no parent
+    # opens the next line; a point's host is the line of the new point of
+    # its first (nearest) link, or -1 with none
+    line_id = np.empty(time_idx.size, dtype=np.int64)
+    host = np.full(time_idx.size, -1, dtype=np.int64)
+    line_id[:bounds[1]] = np.arange(bounds[1])
+    n_lines = bounds[1]
+    for j in range(scales.size - 1):
+        lo, mid, hi = bounds[j:j + 3]
+        head, new = _links(time_idx[lo:mid], time_idx[mid:hi],
+                           scales[j + 1] / dt)
+        parent = _match(head, new, mid - lo, hi - mid)
+        ids, linked = line_id[mid:hi], parent >= 0
+        ids[linked] = line_id[lo:mid][parent[linked]]
+        opened = np.flatnonzero(~linked)
+        ids[opened] = np.arange(n_lines, n_lines + opened.size)
+        n_lines += opened.size
+        heads, first = np.unique(head, return_index=True)
+        host[lo + heads] = ids[new[first]]
 
     # lines are runs of the points sorted stably by line, fine to coarse
     line_points = np.argsort(line_id, kind="stable")
     line_offsets = np.concatenate(([0], np.cumsum(np.bincount(line_id))))
-
-    # a line's host holds the new point of its last point's first link
-    link = first[line_points[line_offsets[1:] - 1]]
-    has_host = link < new.size
-    line_host = np.full(link.size, -1, dtype=line_id.dtype)
-    line_host[has_host] = line_id[new[link[has_host]]]
+    line_host = host[line_points[line_offsets[1:] - 1]]
     return MaximaSet(time_idx=time_idx, scale_idx=scale_idx, values=values,
                      line_points=line_points, line_offsets=line_offsets,
                      line_host=line_host, scales=scales, times=times,
@@ -515,17 +507,17 @@ def modulus_maxima(c: CwtMatrix) -> MaximaSet:
     offset is at most a_{j+1}/dt samples. Each maximum at scale j is paired
     with the at most two maxima flanking it at scale j+1; the pairs are
     taken greedily by (offset, coarse time index, fine time index), and a
-    pair is skipped when either end is already linked. Unmatched maxima
-    start new lines, unmatched lines terminate. Ridges converge as scale
-    grows, so each maximum extends at most one line; a line beaten to its
-    nearest coarse maximum ends there, and that maximum's line is its
-    line_host. Lines are numbered in the order of their first point. The
-    matrix is read one row at a time, so no temporary of its size is made.
+    pair is skipped when either end is already linked. A maximum's link
+    down and its link up lie in different pairs of scales, so each pair of
+    scales is matched on its own. Unmatched maxima start new lines,
+    unmatched lines terminate. Ridges converge as scale grows, so each
+    maximum extends at most one line; a line beaten to its nearest coarse
+    maximum ends there, and that maximum's line is its line_host. Lines are
+    numbered in the order of their first point. The matrix is read one row
+    at a time, so no temporary of its size is made.
     """
-    collected = _collect_maxima([_row_maxima(j, row)
-                                 for j, row in enumerate(c.coefficients)])
-    return _chain(collected, c.scales, c.times, c.cone_of_influence, c.dt,
-                  c.wavelet)
+    return _chain([_row_maxima(j, row) for j, row in enumerate(c.coefficients)],
+                  c.scales, c.times, c.cone_of_influence, c.dt, c.wavelet)
 
 
 def cwt_maxima(f: TimeSeries, w: Wavelet, g: ScaleGrid,
@@ -547,7 +539,5 @@ def cwt_maxima(f: TimeSeries, w: Wavelet, g: ScaleGrid,
                 f, w, g, lambda j, row: (row, _row_maxima(j, row)))):
             consume(j, row)
             peaks.append(p)
-    collected = _collect_maxima(peaks)
-    del peaks  # freed before the chaining
-    return _chain(collected, g.scales.copy(), f.time_axis(), _cone(f, w, g),
+    return _chain(peaks, g.scales.copy(), f.time_axis(), _cone(f, w, g),
                   f.dt, w)

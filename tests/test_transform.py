@@ -18,8 +18,8 @@ from wavekit import (CwtMatrix, Haar, MexicanHat, Morlet, ScaleGrid,
                      cwt_maxima, gen_chirp_jump, modulus_maxima, scalogram,
                      support_radius, wavelet_variance)
 from wavekit import transform
-from wavekit.transform import (_check_grid, _fft_rows, _index_dtype, _kernel,
-                               _links, _match, _smooth_length)
+from wavekit.transform import (_check_grid, _fft_rows, _kernel, _links, _match,
+                               _smooth_length)
 
 WAVELETS = [MexicanHat(), Morlet(), Haar()]
 
@@ -45,7 +45,6 @@ def test_with_count_grid():
     g = ScaleGrid.with_count(0.5, 2.0, 9)
     assert g.n_scales == 9
     assert g.scales[0] == 0.5 and g.scales[-1] == pytest.approx(2.0)
-    assert g.voices_per_octave == pytest.approx(4.0)
     assert ScaleGrid.with_count(0.5, 2.0, 1).scales.tolist() == [0.5]
 
 
@@ -67,14 +66,14 @@ def test_grid_rejects_bad_range(args):
 
 def test_grid_rejects_unsorted_scales():
     with pytest.raises(ValueError):
-        ScaleGrid(scales=np.array([1.0, 0.5]), voices_per_octave=1.0)
+        ScaleGrid(scales=np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
-        ScaleGrid(scales=np.array([1.0, np.nan]), voices_per_octave=1.0)
+        ScaleGrid(scales=np.array([1.0, np.nan]))
 
 
 def test_transform_refuses_subsample_scales():
     f = _noise(64, 1)
-    g = ScaleGrid(scales=np.array([f.dt]), voices_per_octave=1.0)
+    g = ScaleGrid(scales=np.array([f.dt]))
     with pytest.raises(ScaleTooFineError):
         cwt_fft(f, MexicanHat(), g)
     with pytest.raises(ScaleTooFineError):
@@ -87,11 +86,11 @@ def test_transform_refuses_a_reach_past_float64(w):
     before any sample count is taken from it."""
     f = _noise(64, 1, dt=0.5)
     reach = sys.float_info.max / support_radius(w)
-    g = ScaleGrid(scales=np.array([2.0, reach]), voices_per_octave=1.0)
+    g = ScaleGrid(scales=np.array([2.0, reach]))
     for route in (cwt_fft, cwt_direct, cwt_maxima, wavelet_variance):
         with pytest.raises(ValueError, match="more than float64 holds"):
             route(f, w, g)
-    fine = ScaleGrid(scales=np.array([2.0, reach / 4.0]), voices_per_octave=1.0)
+    fine = ScaleGrid(scales=np.array([2.0, reach / 4.0]))
     _check_grid(f, w, fine)
 
 
@@ -131,7 +130,7 @@ def _new_length_at_every_scale(f, w):
         if length != last:
             scales.append(a)
             last = length
-    return ScaleGrid(scales=np.array(scales), voices_per_octave=1.0)
+    return ScaleGrid(scales=np.array(scales))
 
 
 class _CountingPool(ThreadPoolExecutor):
@@ -370,7 +369,7 @@ def _quadrature_oracle(w, samples_of, b, a, lo, hi, singular_at=None):
 
 def _transform_at(w, values, x, b_target, a):
     f = TimeSeries(samples=values, dt=x[1] - x[0])
-    g = ScaleGrid(scales=np.array([a]), voices_per_octave=1.0)
+    g = ScaleGrid(scales=np.array([a]))
     i0 = int(np.argmin(np.abs(x - b_target)))
     return complex(cwt_direct(f, w, g).coefficients[0, i0]), float(x[i0])
 
@@ -462,8 +461,7 @@ def test_constant_signal_is_annihilated():
     for w, scales in ((MexicanHat(), [2 * dt, 5.37 * dt, 16 * dt]),
                       (Morlet(), [2 * dt, 5.37 * dt, 16 * dt]),
                       (Haar(), [2 * dt, 4 * dt, 16 * dt])):
-        c = cwt_direct(flat, w, ScaleGrid(scales=np.array(scales),
-                                          voices_per_octave=1.0))
+        c = cwt_direct(flat, w, ScaleGrid(scales=np.array(scales)))
         for j in range(len(scales)):
             m = c.interior_mask(j)
             assert np.abs(c.coefficients[j, m]).max() < 1e-8
@@ -501,7 +499,7 @@ def test_kernel_reach_stays_inside_the_cone(w, dt):
         scales = np.sort(np.concatenate((
             rng.uniform(2 * dt, 2 * n * dt, 200),
             np.arange(1, 2 * n + 1) * dt / support_radius(w))))
-        g = ScaleGrid(scales=scales[scales >= 2 * dt], voices_per_octave=1.0)
+        g = ScaleGrid(scales=scales[scales >= 2 * dt])
         cone = transform._cone(f, w, g)
         for a, k in zip(g.scales, cone):
             _, m_lo, m_hi = _kernel(w, a, dt, n)
@@ -510,7 +508,7 @@ def test_kernel_reach_stays_inside_the_cone(w, dt):
 
 def test_interior_mask_empty_when_cone_swallows_row():
     f = _noise(64, 3)
-    g = ScaleGrid(scales=np.array([8.0 * f.dt]), voices_per_octave=1.0)
+    g = ScaleGrid(scales=np.array([8.0 * f.dt]))
     c = cwt_fft(f, MexicanHat(), g)  # cone 64 each side
     assert not c.interior_mask(0).any()
 
@@ -647,11 +645,11 @@ def _reference_maxima(c):
     return time_idx, scale_idx, values, lines
 
 
-def _greedy_parent(head, new, n_points):
+def _greedy_parent(head, new, n_fine, n_coarse):
     """The one-by-one greedy pass _match replaced, kept as its oracle."""
-    parent = np.full(n_points, -1, dtype=np.int64)
-    new_taken = bytearray(n_points)
-    head_taken = bytearray(n_points)
+    parent = np.full(n_coarse, -1, dtype=np.int64)
+    new_taken = bytearray(n_coarse)
+    head_taken = bytearray(n_fine)
     for k, h in zip(new.tolist(), head.tolist()):
         if new_taken[k] or head_taken[h]:
             continue
@@ -698,11 +696,17 @@ def _assert_matches_reference(c):
     assert m.line_host.dtype == np.int64
     assert m.line_host.tolist() == _reference_hosts(c, time_idx, scale_idx,
                                                     lines)
-    # the matching rounds link exactly what the loops link
-    head, new = _links(m.scale_idx, m.time_idx, c.scales, c.dt, c.n_times)
-    assert head.dtype == new.dtype == np.int32
-    assert np.array_equal(_match(head, new, m.n_points), parent)
-    assert np.array_equal(_greedy_parent(head, new, m.n_points), parent)
+    # the matching rounds link, one pair of scales at a time, exactly what
+    # the loops link: every point's parent lies one scale below it
+    bounds = np.searchsorted(scale_idx, np.arange(c.n_scales + 1))
+    for j in range(c.n_scales - 1):
+        lo, mid, hi = bounds[j:j + 3]
+        head, new = _links(time_idx[lo:mid], time_idx[mid:hi],
+                           c.scales[j + 1] / c.dt)
+        want = np.where(parent[mid:hi] >= 0, parent[mid:hi] - lo, -1)
+        assert np.array_equal(_match(head, new, mid - lo, hi - mid), want)
+        assert np.array_equal(_greedy_parent(head, new, mid - lo, hi - mid),
+                              want)
     mag = np.abs(c.coefficients)
     assert np.array_equal(m.row_max, mag.max(axis=1))
     assert np.array_equal(m.finest, c.coefficients[0].real)
@@ -715,6 +719,14 @@ def test_maxima_match_the_loop_reference_on_noise(w, n):
     f = _noise(n, n)
     c = cwt_fft(f, w, ScaleGrid.log_spaced(2.0 * f.dt, n * f.dt / 2.0, 8.0))
     _assert_matches_reference(c)
+
+
+def test_maxima_match_the_loop_reference_at_realistic_density():
+    # a noisy chirp with a jump on the analysis default grid: about 52 000
+    # maxima, about 590 per scale, in about 4 200 lines
+    f = gen_chirp_jump(16384, sigma=0.3, seed=1)
+    c = cwt_fft(f, MexicanHat(), ScaleGrid.default_for(f))
+    assert _assert_matches_reference(c).n_points > 50000
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -750,6 +762,12 @@ def test_maxima_tie_breaks_follow_offset_then_coarse_then_fine_index():
     [[0.0, 1.0, 0.0, 2.0, 1.0]],                  # a single scale
     [[0.0, 1.0], [1.0, 0.0]],                     # n = 2: no interior column
     [[0.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 1.0]],  # n = 3
+    # a row with no maxima between rows with some: first, in the middle,
+    # and both
+    [[0, 1, 2, 3, 4, 5], [0, 2, 0, 1, 0, 0], [1, 0, 0, 1, 0, 0]],
+    [[0, 1, 0, 0, 2, 0], [5, 4, 3, 2, 1, 0], [0, 0, 1, 0, 2, 0]],
+    [[0, 0, 0, 0, 0, 0], [0, 3, 0, 1, 1, 0], [1, 1, 1, 1, 1, 1],
+     [0, 1, 0, 0, 1, 0]],
 ])
 def test_maxima_match_the_loop_reference_on_tiny_matrices(rows):
     _assert_matches_reference(_toy_matrix(rows))
@@ -768,58 +786,36 @@ def test_matching_rounds_equal_the_greedy_pass_on_dense_conflicts(seed):
     # few points and many links: long chains of conflicts that take the
     # rounds several passes to resolve, repeated pairs included
     rng = np.random.default_rng(seed)
-    n_points, n_links = int(rng.integers(2, 30)), int(rng.integers(0, 200))
-    head = rng.integers(0, n_points, n_links)
-    new = rng.integers(0, n_points, n_links)
-    for dtype in (np.int32, np.int64):
-        assert np.array_equal(
-            _match(head.astype(dtype), new.astype(dtype), n_points),
-            _greedy_parent(head, new, n_points))
+    n_fine, n_coarse = rng.integers(1, 30, 2)
+    n_links = int(rng.integers(0, 200))
+    head = rng.integers(0, n_fine, n_links)
+    new = rng.integers(0, n_coarse, n_links)
+    assert np.array_equal(_match(head, new, n_fine, n_coarse),
+                          _greedy_parent(head, new, n_fine, n_coarse))
 
 
 def test_matching_takes_a_cascade_link_by_link():
     # link r shares its new point with link r - 1 and its head with link
     # r + 1, so each round takes only the earliest link left
-    head = np.array([0, 1, 1, 2, 2, 3], dtype=np.int32)
-    new = np.array([5, 5, 6, 6, 7, 7], dtype=np.int32)
-    assert np.array_equal(_match(head, new, 8),
-                          _greedy_parent(head, new, 8))
-    assert _match(head, new, 8)[5:].tolist() == [0, 1, 2]
-
-
-def test_chaining_indices_are_int32_while_every_count_fits():
-    assert _index_dtype(10, 100) == np.int32
-    assert _index_dtype(2**30 - 1, 2**31 - 2) == np.int32
-    # 2**30 points may have 2**31 links, and a rank must hold their count
-    assert _index_dtype(2**30, 100) == np.int64
-    assert _index_dtype(10, 2**31) == np.int64
-
-
-@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
-def test_chaining_in_int64_links_the_same_lines(w, monkeypatch):
-    f = _noise(2000, 9)
-    c = cwt_fft(f, w, ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 2.0, 8.0))
-    want = modulus_maxima(c)
-    monkeypatch.setattr(transform, "_index_dtype", lambda n_points, n: np.int64)
-    got = modulus_maxima(c)
-    for name in ("time_idx", "scale_idx", "values", "line_points",
-                 "line_offsets", "line_host"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    head = np.array([0, 1, 1, 2, 2, 3])
+    new = np.array([0, 0, 1, 1, 2, 2])
+    assert np.array_equal(_match(head, new, 4, 3),
+                          _greedy_parent(head, new, 4, 3))
+    assert _match(head, new, 4, 3).tolist() == [0, 1, 2]
 
 
 def test_chaining_at_64k_stays_within_20_mb():
     # 210 934 maxima: int64 links built over every scale at once took the
-    # chaining to 21.6 MB; int32 ones built a scale pair at a time, 7.2 MB
+    # chaining to 21.6 MB; one pair of scales at a time, flat arrays
+    # included, it takes about 10.5 MB
     f = gen_chirp_jump(65536, sigma=0.3, seed=1)
     w, g = MexicanHat(), ScaleGrid.default_for(f)
-    collected = transform._collect_maxima(
-        list(_fft_rows(f, w, g, transform._row_maxima)))
-    assert collected[0].size > 200000
+    peaks = list(_fft_rows(f, w, g, transform._row_maxima))
+    assert sum(p[0].size for p in peaks) > 200000
     times, cone = f.time_axis(), transform._cone(f, w, g)
     tracemalloc.start()
     try:
-        transform._chain(collected, g.scales, times, cone, f.dt, w)
+        transform._chain(peaks, g.scales, times, cone, f.dt, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,12 +6,15 @@ cloud to PGM). Every output file gets a sibling <name>.manifest.json whose
 argv replays the invocation byte for byte.
 
 Exit codes: 0 ok, 2 invalid input or parameters, 3 I/O failure,
-4 incompatible scale grid, 5 degenerate estimation.
+4 incompatible scale grid, 5 degenerate estimation. A run that ends with
+any other code than 0 removes every output file it wrote, manifests too.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from dataclasses import asdict
 
@@ -36,6 +39,8 @@ _BAD_INPUT = (InvalidSignalError, InvalidModelError, InvalidHurstError,
               OutOfRangeError, ValueError)
 _BAD_GRID = (ScaleTooFineError, TooFewScalesError)
 _DEGENERATE = (DegenerateFitError, NoValidSamplesError)
+# the flags that name output files; each output has a <name>.manifest.json
+_OUTPUT_FLAGS = ("out", "report", "scalogram", "maxima", "json", "covariance")
 # rasterize's largest image side: points_to_image peaks at about 17 bytes
 # a pixel, so a 4096 x 4096 image takes about 285 MB
 _MAX_IMAGE_SIDE = 4096
@@ -46,6 +51,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(tokens)
     args._argv = tokens
+    before = {path: _file_id(path) for path in _output_paths(args)}
+    code = None
+    try:
+        code = _run(args)
+    finally:
+        if code != 0:
+            _remove_written(before)
+    return code
+
+
+def _run(args) -> int:
     try:
         args.handler(args)
     except _BAD_GRID as exc:
@@ -61,6 +77,39 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
+
+
+def _output_paths(args) -> list:
+    names = [getattr(args, flag, None) for flag in _OUTPUT_FLAGS]
+    return [name + suffix for name in names if name
+            for suffix in ("", ".manifest.json")]
+
+
+def _file_id(path: str):
+    """Inode, mtime and size of the regular file at path, else None.
+
+    A rewrite that keeps the size within one tick of the file system's
+    clock keeps this too, and is then taken for a file left alone.
+    """
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
+def _remove_written(before: dict) -> None:
+    """Remove each output that is now a regular file the run created or
+    rewrote; a device, a symlink or a file the run left alone stays."""
+    for path, was in before.items():
+        now = _file_id(path)
+        if now is not None and now != was:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
 
 
 def _build_parser() -> argparse.ArgumentParser:

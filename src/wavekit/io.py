@@ -10,16 +10,34 @@ HurstEstimate, RunManifest) passed to write_json, which sorts its keys, so
 the schema of a file is the fields of its dataclass and this module keeps
 no field list of its own.
 
-The CSV and TSV writers format their rows in blocks: one %-template per
-block of at most _BLOCK_ROWS rows, applied to a tuple of the block's
-values. "%.17g" formats a Python float and an np.float64 alike, so the
-bytes are those of formatting each value on its own; no file is built
-whole in memory. A block's text, template, argument tuple and one float
-object per value are alive together, 130 to 170 bytes a row, so the
-block size bounds the writers' memory: 8192 rows keep it under 1.4 MB and
-format as fast as larger blocks. The scalogram is written one scale at a time
-through scalogram_tsv, whose time column is formatted once, so a caller
-can stream it from the transform's rows.
+Every float the CSV and TSV writers write is the bytes of Python's
+'%.17g' % x, made for a whole array by one numpy kernel (_fields). It takes
+e = floor(log10 |x|) and computes y = |x| * 10**(16 - e) as p + t: p is the
+rounded product of |x| with the double nearest 10**(16 - e), Dekker's
+TwoProduct gives that product's rounding error exactly, and the power's
+remainder, also a double, adds the rest. e is corrected once if p falls
+outside [1e16, 1e17). t is then within 2**-46 of the exact y - p, far
+inside the 2**-30 guard below, so the 17 digits p + floor(t) +
+[frac(t) > 1/2] are y rounded to nearest. They are read four at a time from
+a table and laid out by %g's rules: fixed notation for -4 <= e < 17,
+otherwise d.ddde+XX, without trailing zeros or a bare point, with '-' on
+negatives. The values the kernel cannot settle go to '%.17g' % x itself,
+so every byte is the same by construction: 0, -0, inf and nan; |x|
+outside [1e-280, 1e280]; a remainder frac(t) within 2**-30 of one half,
+where y may sit on a tie; and p within 64 of 1e16 or 1e17, where the
+rounding may carry into the next decade.
+
+A field is 48 bytes with NUL where the text has no character. The writers
+work in blocks of at most _BLOCK_ROWS rows: a block lays its fields and
+separators side by side and writes them with the NULs dropped, so no file
+is built whole in memory. A block keeps about 250 bytes a row alive (the
+kernel's arrays, about 130 bytes a value, then the side-by-side rows and
+their text), about 1 MB for 4096 rows; blocks of 8192 rows wrote no faster
+and raised the peak RSS of an 8k dump by 2 MB more. Columns that repeat,
+the time and scale labels of the scalogram and maxima TSVs, are formatted
+once and held as 24-byte text, the longest '%.17g' gives, and gathered per
+block. The scalogram is written one scale at a time through scalogram_tsv,
+so a caller can stream it from the transform's rows.
 
 The signal and point readers parse a file in one np.loadtxt pass. A
 memory-mapped scan first checks that every '#' begins its line (after
@@ -50,42 +68,206 @@ import numpy as np
 from .errors import InvalidSignalError
 from .series import TimeSeries
 
-_FMT = "%.17g"
-_BLOCK_ROWS = 8192
+_BLOCK_ROWS = 4096
+_LABEL = 24             # the longest '%.17g' text: -2.2250738585072014e-308
+_EMAX = 282             # the exponent tables cover 10**-282 .. 10**282
+_SPLITTER = 134217729.0     # 2**27 + 1, Dekker's split into 26-bit halves
 
 
-def _fnum(v: float) -> str:
-    return _FMT % v
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-def _strings(values: np.ndarray) -> np.ndarray:
-    """Each value formatted once, as an object array for fancy indexing."""
-    return np.array([_FMT % v for v in values.tolist()], dtype=object)
+def _powers_of_ten() -> np.ndarray:
+    """Row e + _EMAX: 10**(16 - e) as hi + lo, then hi's two halves.
 
-
-def _write_rows(fh, row: str, *columns: np.ndarray) -> None:
-    """Write the %-template row once per index of the columns.
-
-    Each block of rows is one % of the repeated template against the
-    block's values, interleaved row by row from the columns.
+    float(int) and int / int round correctly, so hi is the double nearest
+    10**(16 - e) and lo the double nearest the exact rest.
     """
-    width = len(columns)
-    total = len(columns[0])
+    rows = []
+    for e in range(-_EMAX, _EMAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den
+        n, d = hi.as_integer_ratio()
+        rows.append((hi, (num * d - n * den) / (den * d)))
+    hi, lo = np.array(rows).T
+    return np.column_stack([hi, *_split(hi), lo])
+
+
+def _words(items) -> np.ndarray:
+    """Byte strings of at most 8 bytes as little-endian words, NUL padded."""
+    return np.array(items, dtype="S8").view("<u8")
+
+
+# A field is 48 bytes, six little-endian words, with NUL wherever the
+# '%.17g' text has no character; dropping the NULs leaves the text:
+#   0        '-' for a negative value
+#   1..5     '0.' and up to three '0' before the digits when 1e-4 <= |x| < 1
+#   6..39    the 17 digits at the even offsets, each followed by a slot
+#            that holds '.' if the fraction starts after that digit
+#   40..47   'e', the exponent's sign and its two or three digits
+_POW10 = _powers_of_ten()
+_EXPONENTS = range(-_EMAX, _EMAX + 1)
+_PREFIX = _words([b"\0" + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")
+                  for x in _EXPONENTS])
+_SUFFIX = _words([b"" if -4 <= x < 17 else b"e%+03d" % x for x in _EXPONENTS])
+# digits that fixed notation keeps however many trailing zeros they hold
+_INTEGER = np.array([x + 1 if 0 <= x < 17 else 0 for x in _EXPONENTS], np.int8)
+# the digit whose slot takes the point (-1: the prefix holds it)
+_POINT = np.array([x if 0 <= x < 17 else -1 if -4 <= x < 0 else 0
+                   for x in _EXPONENTS])
+_GROUPS = np.arange(10000, dtype=np.uint64)
+# the four digits of 0..9999 as ASCII at a word's even bytes
+_DIGITS = sum((_GROUPS // np.uint64(10 ** (3 - i)) % np.uint64(10)
+               + np.uint64(48)) << np.uint64(16 * i) for i in range(4))
+# _KEPT[k, g]: how many of the 17 digits are left when the last nonzero
+# one is in the four-digit group k (k = 0 holds digits 1..4) and is g's
+_KEPT = np.where(_GROUPS == 0, 0, 4 * np.arange(4)[:, None] + 5
+                 - sum(_GROUPS % np.uint64(10 ** i) == 0 for i in (1, 2, 3)))
+_KEPT = _KEPT.astype(np.int8)
+# _MASK[kept, k]: the bytes of group k's word that hold one of the first
+# kept digits
+_MASK = np.array([[sum(0xFF << 16 * i for i in range(4)
+                       if 4 * k + 1 + i < kept) for k in range(4)]
+                  for kept in range(18)], np.uint64)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """a * 10**(16 - e) as p + t: p = fl(a * hi), t the rest.
+
+    Dekker's TwoProduct gives a * hi - p exactly, so t is off by at most
+    the rounding of a * lo and of the sum, under 2**-46 when p < 1e17.
+    """
+    c = np.take(_POW10, e + _EMAX, axis=0)
+    p = a * c[:, 0]
+    ah, al = _split(a)
+    err = ((ah * c[:, 1] - p) + ah * c[:, 2] + al * c[:, 1]) + al * c[:, 2]
+    return p, err + a * c[:, 3]
+
+
+def _decimal(x: np.ndarray):
+    """e, the 17-digit integer d nearest |x| * 10**(16 - e), and whether
+    the kernel settles x (see the module docstring for the rest)."""
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _scaled(a, e)
+    # log10 may put a value next to a power of ten in the wrong decade
+    off = np.flatnonzero((p < 1e16) | (p >= 1e17))
+    if off.size:
+        e[off] += np.where(p[off] < 1e16, -1, 1)
+        p[off], t[off] = _scaled(a[off], e[off])
+    whole = np.floor(t)
+    t -= whole
+    fast &= np.abs(t - 0.5) >= 2.0 ** -30
+    fast &= (p >= 1e16 + 64) & (p <= 1e17 - 64)
+    d = p.astype(np.int64)
+    d += whole.astype(np.int64)
+    d += t > 0.5
+    return e, d, fast
+
+
+def _fast_fields(values: np.ndarray):
+    """The fields of the values, and the indices of the values the kernel
+    leaves to '%.17g', whose rows hold no valid text: 0, -0, inf, nan, |x|
+    outside [1e-280, 1e280], p within 64 of 1e16 or 1e17, and frac(t)
+    within 2**-30 of one half (see the module docstring).
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    e, low, fast = _decimal(x)
+    # the 17 digits: the leading one, then four groups of four
+    top = low // 10 ** 8
+    low -= top * 10 ** 8
+    g = np.empty((4, x.size), np.int64)
+    np.floor_divide(low, 10 ** 4, out=g[2])
+    np.subtract(low, g[2] * 10 ** 4, out=g[3])
+    head = top // 10 ** 4
+    np.subtract(top, head * 10 ** 4, out=g[1])
+    lead = head // 10 ** 4
+    np.subtract(head, lead * 10 ** 4, out=g[0])
+    del low, top, head
+
+    xi = e + _EMAX
+    xi[~fast] = _EMAX
+    kept = np.take(_INTEGER, xi)
+    for k in range(4):
+        np.maximum(kept, np.take(_KEPT[k], g[k]), out=kept)
+    np.maximum(kept, 1, out=kept)
+
+    w = np.empty((x.size, 6), "<u8")
+    w[:, 0] = np.take(_PREFIX, xi) | (lead + 48).astype(np.uint64) << 48 \
+        | np.signbit(x).astype(np.uint64) * 45
+    for k in range(4):
+        np.bitwise_and(np.take(_DIGITS, g[k]), np.take(_MASK[:, k], kept),
+                       out=w[:, k + 1])
+    w[:, 5] = np.take(_SUFFIX, xi)
+    point = np.take(_POINT, xi)
+    rows = np.flatnonzero((point >= 0) & (kept > point + 1))
+    slot = 7 + 2 * point[rows]
+    w.reshape(-1)[6 * rows + slot // 8] |= \
+        np.uint64(46) << (8 * (slot % 8)).astype(np.uint64)
+    return w.view(np.uint8), np.flatnonzero(~fast)
+
+
+def _fields(values: np.ndarray) -> np.ndarray:
+    """Each value's '%.17g' text as a 48-byte field, NULs to be dropped."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    fields, slow = _fast_fields(x)
+    if slow.size:
+        fields[slow] = np.array([b"%.17g" % v for v in x[slow].tolist()],
+                                dtype="S48").view(np.uint8).reshape(-1, 48)
+    return fields
+
+
+def _labels(values: np.ndarray) -> np.ndarray:
+    """Each value's '%.17g' text left-aligned in _LABEL bytes, NUL padded."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    out = np.zeros((values.size, _LABEL), np.uint8)
+    for lo in range(0, values.size, _BLOCK_ROWS):
+        fields = _fields(values[lo:lo + _BLOCK_ROWS])
+        text = fields != 0
+        out[lo:lo + len(fields)][
+            np.arange(_LABEL) < text.sum(axis=1)[:, None]] = fields[text]
+    return out
+
+
+def _write_rows(fh, sep: bytes, *columns) -> None:
+    """Write one line per row of the columns, their fields joined by sep.
+
+    A column is a float64 array, formatted a block of rows at a time; a
+    2-D uint8 array of fields; or a pair (fields, index), whose rows are
+    fields[index] gathered a block at a time. Each block's fields are laid
+    side by side and written with their NULs dropped.
+    """
+    first = columns[0]
+    total = len(first[1] if isinstance(first, tuple) else first)
     for lo in range(0, total, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, total)
-        args = [None] * ((hi - lo) * width)
-        for k, col in enumerate(columns):
-            args[k::width] = col[lo:hi].tolist()
-        fh.write(row * (hi - lo) % tuple(args))
+        gap = np.full((hi - lo, 1), sep[0], np.uint8)
+        parts = []
+        for col in columns:
+            if isinstance(col, tuple):
+                parts.append(col[0][col[1][lo:hi]])
+            elif col.ndim == 2:
+                parts.append(col[lo:hi])
+            else:
+                parts.append(_fields(col[lo:hi]))
+            parts.append(gap)
+        parts[-1] = np.full((hi - lo, 1), ord("\n"), np.uint8)
+        block = np.concatenate(parts, axis=1).tobytes()
+        fh.write(block.translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------- signals
 
 def write_signal_csv(path: str, f: TimeSeries) -> None:
     """Two-column t,value CSV with a comment header."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# t,value\n")
-        _write_rows(fh, _FMT + "," + _FMT + "\n", f.time_axis(), f.samples)
+    with open(path, "wb") as fh:
+        fh.write(b"# t,value\n")
+        _write_rows(fh, b",", f.time_axis(), f.samples)
 
 
 def read_signal_csv(path: str) -> TimeSeries:
@@ -137,9 +319,9 @@ def write_points_csv(path: str, points: np.ndarray) -> None:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# x,y\n")
-        _write_rows(fh, _FMT + "," + _FMT + "\n", pts[:, 0], pts[:, 1])
+    with open(path, "wb") as fh:
+        fh.write(b"# x,y\n")
+        _write_rows(fh, b",", pts[:, 0], pts[:, 1])
 
 
 def read_points_csv(path: str) -> np.ndarray:
@@ -246,14 +428,15 @@ def scalogram_tsv(path: str, times: np.ndarray):
     The file is created at the first write, so a run refused before its
     first row leaves no file, and it is closed when the block ends.
     """
-    fh, labels = None, _strings(times)
+    fh, labels = None, _labels(times)
 
     def write(a: float, power: np.ndarray) -> None:
         nonlocal fh
         if fh is None:
-            fh = open(path, "w", newline="\n")
-            fh.write("# b\ta\tS\n")
-        _write_rows(fh, "%s\t" + _fnum(a) + "\t" + _FMT + "\n", labels, power)
+            fh = open(path, "wb")
+            fh.write(b"# b\ta\tS\n")
+        scale = np.broadcast_to(_labels([a]), labels.shape)
+        _write_rows(fh, b"\t", labels, scale, power)
 
     try:
         yield write
@@ -271,11 +454,10 @@ def write_scalogram_tsv(path: str, s) -> None:
 
 def write_maxima_tsv(path: str, m) -> None:
     """Long-form rows: time b, scale a, modulus |W|."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# b\ta\tabs_w\n")
-        _write_rows(fh, "%s\t%s\t" + _FMT + "\n",
-                    _strings(m.times)[m.time_idx],
-                    _strings(m.scales)[m.scale_idx], m.values)
+    with open(path, "wb") as fh:
+        fh.write(b"# b\ta\tabs_w\n")
+        _write_rows(fh, b"\t", (_labels(m.times), m.time_idx),
+                    (_labels(m.scales), m.scale_idx), m.values)
 
 
 # ------------------------------------------------------------- JSON views
@@ -292,10 +474,11 @@ def read_json(path: str) -> dict:
 
 
 def write_covariance_tsv(path: str, r) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# a\tvariance\tcount\n")
-        _write_rows(fh, _FMT + "\t" + _FMT + "\t%d\n", r.scales, r.values,
-                    r.counts)
+    counts = np.asarray(r.counts, dtype=np.int64)
+    with open(path, "wb") as fh:
+        fh.write(b"# a\tvariance\tcount\n")
+        _write_rows(fh, b"\t", r.scales, r.values,
+                    counts.astype("S20").view(np.uint8).reshape(-1, 20))
 
 
 # ------------------------------------------------------------- PGM images

@@ -217,6 +217,72 @@ def test_estimate_needs_256_samples(tmp_path, capsys, n, code):
     assert ("estimate needs at least 256 samples, got 255" in err) == (n < 256)
 
 
+def _dump_flags(tmp_path, unwritable=None):
+    """analyze's three outputs in tmp_path, one of them in a directory that
+    does not exist."""
+    flags = []
+    for flag, name in [("--report", "r.json"), ("--scalogram", "s.tsv"),
+                       ("--maxima", "m.tsv")]:
+        where = tmp_path / "absent" if flag == unwritable else tmp_path
+        flags += [flag, str(where / name)]
+    return flags
+
+
+@pytest.mark.parametrize("unwritable", ["--report", "--maxima"])
+def test_a_failed_analyze_removes_every_output_it_wrote(tmp_path, capsys,
+                                                        unwritable):
+    # the scalogram is streamed before the report is written, and the
+    # maxima after it; a run that fails leaves neither a full nor a
+    # truncated file, and no manifest
+    sig = _gen_signal(tmp_path, n=512)
+    (tmp_path / "s.tsv").write_text("an earlier run's scalogram\n")
+    assert main(["analyze", sig, *_dump_flags(tmp_path, unwritable)]) == 3
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["f.csv", "f.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("error, code", [(OSError("disk full"), 3),
+                                         (RuntimeError("bug"), None)],
+                         ids=["io-error", "traceback"])
+def test_a_failure_during_the_transform_removes_the_partial_scalogram(
+        tmp_path, monkeypatch, capsys, error, code):
+    sig = _gen_signal(tmp_path, n=512)
+    rows = []
+
+    def failing(row, a):
+        rows.append(a)
+        if len(rows) == 5:
+            raise error
+        return wavekit.transform.energy_density(row, a)
+
+    monkeypatch.setattr(wavekit.cli, "energy_density", failing)
+    argv = ["analyze", sig, *_dump_flags(tmp_path)]
+    if code is None:
+        with pytest.raises(RuntimeError, match="bug"):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert len(rows) == 5
+    assert sorted(os.listdir(tmp_path)) == ["f.csv", "f.csv.manifest.json"]
+
+
+def test_a_refused_run_leaves_files_it_did_not_write(tmp_path, capsys):
+    sig = _gen_signal(tmp_path, n=512)
+    report = tmp_path / "r.json"
+    report.write_text("an earlier report\n")
+    target = tmp_path / "elsewhere.tsv"
+    (tmp_path / "s.tsv").symlink_to(target)
+    # refused before any output: the report stays as it was
+    assert main(["analyze", sig, "--a-min", "0.0001",
+                 "--report", str(report)]) == 4
+    assert report.read_text() == "an earlier report\n"
+    # a symlink is not removed, though the run wrote through it
+    assert main(["analyze", sig, "--scalogram", str(tmp_path / "s.tsv"),
+                 "--report", str(tmp_path / "absent" / "r.json")]) == 3
+    assert (tmp_path / "s.tsv").is_symlink() and target.stat().st_size > 0
+    assert report.read_text() == "an earlier report\n"
+
+
 def test_scale_below_sampling_limit(tmp_path, capsys):
     sig = _gen_signal(tmp_path, n=512)  # dt about 0.002
     assert main(["analyze", sig, "--a-min", "0.0001"]) == 4

@@ -99,7 +99,9 @@ def _interior_counts(scales: np.ndarray, cone: np.ndarray, n: int):
     cone k samples wide: boundary response biases the coarse scales
     upward. The first scale that keeps no column (k >= n - k) raises
     NoValidSamplesError, before any row is computed, so every cone that
-    passes is narrower than n / 2, as wavelet_variance's FFT length needs.
+    passes is narrower than n / 2, as wavelet_variance's blocks need: the
+    interior then lies in the valid outputs of the blocks (see the
+    transform module).
     """
     widths = cone.tolist()
     for a, k in zip(scales, widths):
@@ -113,6 +115,15 @@ def _interior_counts(scales: np.ndarray, cone: np.ndarray, n: int):
 def _mean_power(j: int, interior: np.ndarray) -> float:
     """Mean |W|^2 of row j's interior coefficients."""
     return np.mean(np.abs(interior) ** 2)
+
+
+def _mean_power_in_place(j: int, interior: np.ndarray) -> float:
+    """_mean_power of a row no one else holds, as _fft_rows hands it over:
+    a real row is squared in place, x * x being |x|^2 to the bit, so no
+    temporary of the row's size is made."""
+    if np.iscomplexobj(interior):
+        return _mean_power(j, interior)
+    return np.mean(np.square(interior, out=interior))
 
 
 def wavelet_autocovariance(c: CwtMatrix) -> WaveletAutoCovariance:
@@ -132,20 +143,24 @@ def wavelet_variance(f: TimeSeries, wavelet: Wavelet,
     """wavelet_autocovariance(cwt_fft(f, wavelet, grid)), streamed.
 
     Only each row's columns outside the cone of influence are computed,
-    all at the one FFT length smooth(n) from one signal spectrum (exact on
-    those columns, see the transform module), and the worker that computed
-    each row reduces it to its mean |W|^2, so the matrix is never held.
-    The values agree with the matrix route to FFT roundoff, within 1e-12
-    relative per scale, and have the same bits for any worker count;
-    counts and scales are the same. A too-fine grid (ScaleTooFineError)
-    and then a scale the cone swallows (NoValidSamplesError) are refused
-    before any FFT runs.
+    by overlap-save: a row whose kernel spans K samples runs on blocks of
+    the smallest power of two M >= 4K samples, whose spectra every row of
+    that length shares, and a row whose M would reach smooth(n) runs as
+    one block, the whole record at smooth(n) (exact on those columns, see
+    the transform module). The worker that computed each row reduces it
+    to its mean |W|^2, squaring a real row in place, so the matrix is
+    never held. The values agree with the matrix route to FFT roundoff,
+    within 1e-12 relative per scale, and have the same bits for any worker
+    count; counts and scales are the same. A too-fine grid
+    (ScaleTooFineError) and then a scale the cone swallows
+    (NoValidSamplesError) are refused before any FFT runs.
     """
     _check_grid(f, wavelet, grid)
     cone = _cone(f, wavelet, grid)
     counts = _interior_counts(grid.scales, cone, f.n)
-    values = np.fromiter(_fft_rows(f, wavelet, grid, _mean_power, cone),
-                         dtype=np.float64, count=grid.n_scales)
+    values = np.fromiter(
+        _fft_rows(f, wavelet, grid, _mean_power_in_place, cone),
+        dtype=np.float64, count=grid.n_scales)
     return WaveletAutoCovariance(scales=grid.scales.copy(), values=values,
                                  counts=counts, wavelet=wavelet.name,
                                  n_samples=f.n, dt=f.dt)

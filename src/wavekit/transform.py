@@ -12,21 +12,31 @@ frequency domain with the transfer function of the sampled scaled wavelet.
 
 Both routes sample the kernel at offsets m_lo <= m <= m_hi that cover the
 wavelet's support, clipped to |m| <= n - 1: no sample lies further away, so
-the clipped terms multiply nothing. The FFT route convolves circularly over
-L points and has two length rules:
+the clipped terms multiply nothing. The FFT route convolves the signal
+with the reversed kernel, K = m_hi - m_lo + 1 samples, whose linear
+result has entries 0 .. n + K - 2 and holds W[i] at entry m_hi + i. It
+convolves circularly, and has two length rules:
 
 - cwt_fft (and cwt_maxima) keeps every column, the linear-convolution
   entries m_hi .. m_hi + n - 1, and pads to L = the smallest 2^i 3^j 5^k
   >= n + max(m_hi, -m_lo): at that length no other entry wraps onto them.
 - The wavelet variance keeps only the columns [k, n - k) outside a cone
-  k >= max(m_hi, -m_lo) samples wide, with 2k < n, and every row runs at
-  L = the smallest 2^i 3^j 5^k >= n, one signal spectrum for the grid.
-  The linear result has entries 0 .. n + m_hi - m_lo - 1; the kept ones,
-  m_hi + k .. m_hi + n - k - 1, all lie below n <= L. An entry that wraps
-  onto one of them sits at m_hi + k + L >= m_hi + k + n or later, past
-  the last linear entry, n + m_hi + k - 1 at most. The kernel's at most
-  2k + 1 <= n samples fit in L. So the interior is the linear result,
-  and differs from cwt_fft's columns only by FFT roundoff.
+  k >= max(m_hi, -m_lo) samples wide, with 2k < n, and runs each row in
+  blocks (overlap-save). Row j runs at M = the smallest power of two
+  >= 4K, on the blocks x[b S : b S + M], zero past n, for every block
+  start b S < n, at the one step S = 3M/4 + 1 <= M - K + 1: so the rows
+  of one length share its block spectra. A block's circular outputs at
+  t in [K - 1, M) are linear ones: the sum over the kernel's s <= K - 1
+  reads the block at t - s >= 0, so no term wraps, and it is the linear
+  entry b S + t. Block b gives the entries [b S + K - 1, b S + K - 1 + S),
+  and these tile. The kept entries m_hi + k .. m_hi + n - k - 1 start at
+  K - 1 + k + m_lo, in block 0 as 0 <= k + m_lo <= k <= K - 1 < S
+  (m_lo <= 0 <= m_hi), and end below n (k >= m_hi), so the blocks cover
+  them. A row whose M would reach L = smooth(n), the smallest
+  2^i 3^j 5^k >= n, runs as one block, the whole signal at L: its kept
+  entries lie in [K - 1, n), inside [K - 1, L), and its at most
+  2k + 1 <= n kernel samples fit in L. Either way the interior is the
+  linear result, and differs from cwt_fft's columns only by FFT roundoff.
 
 The rows run on a thread pool with one worker per CPU the process may use,
 fed in scale order; numpy's FFT releases the GIL, and each row gets the
@@ -233,9 +243,9 @@ def _kernel(w: Wavelet, a: float, dt: float, n: int):
     lo, hi = w.support
     m_lo = max(int(np.floor(lo * a / dt)), 1 - n)
     m_hi = min(int(np.ceil(hi * a / dt)), n - 1)
-    m = np.arange(m_lo, m_hi + 1)
-    c = np.conj(w.psi(m * dt / a))
-    return c, m_lo, m_hi
+    c = w.psi(np.arange(m_lo, m_hi + 1) * dt / a)
+    # conj copies even a real array
+    return (np.conj(c) if w.is_complex else c), m_lo, m_hi
 
 
 def _smooth_length(m: int) -> int:
@@ -252,6 +262,46 @@ def _smooth_length(m: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+# outputs a variance row's worker transforms at once: all of a row's
+# blocks in one call raised a fresh estimate's peak RSS at n = 2^18 from
+# about 66 to 77 MB
+_CHUNK = 1 << 16
+
+
+def _block_plan(size: int, whole: int):
+    """Block length and step of a variance row whose kernel has size
+    samples, on a record of smooth length whole = _smooth_length(n):
+    (M, S) with M the smallest power of two >= 4 size and S = 3M/4 + 1,
+    or (whole, None), one block, when M would reach whole. S depends on
+    M alone, and is <= M - size + 1 for every kernel that gets M."""
+    length = 1 << (4 * size - 1).bit_length()
+    if length >= whole:
+        return whole, None
+    return length, 3 * length // 4 + 1
+
+
+def _block_spectra(x: np.ndarray, size: int, step: int, fft) -> list:
+    """fft of the blocks x[b step : b step + size], zero past the end of x,
+    for every block start b step below x.size, one block per row, split
+    into equal chunks of per <= max(1, _CHUNK // step) blocks: chunk i
+    holds blocks i per .. i per + per - 1."""
+    n = x.size
+    count = (n - 1) // step + 1
+    chunks = -(-count // max(1, _CHUNK // step))
+    per = -(-count // chunks)
+    spectra = []
+    for b in range(0, count, per):
+        e = min(b + per, count)
+        seg = x[b * step:(e - 1) * step + size]
+        if seg.size < (e - b - 1) * step + size:  # blocks past the end
+            seg = np.concatenate(
+                (seg, np.zeros((e - b - 1) * step + size - seg.size)))
+        spectra.append(fft(np.lib.stride_tricks.as_strided(
+            seg, (e - b, size), (step * seg.strides[0], seg.strides[0]),
+            writeable=False)))
+    return spectra
 
 
 def _cone(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> np.ndarray:
@@ -288,12 +338,13 @@ def _cpu_count() -> int:
 def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=None):
     """Yield reduce(j, row) for every cwt_fft row j, in scale order.
 
-    The calling thread samples each kernel and each new signal spectrum in
-    scale order; a pool of one worker per usable CPU (at most one per
-    scale) runs the kernel FFT, the product, the inverse FFT and the
-    scaling, then reduce(j, row) on the row it computed, and the job keeps
-    only reduce's result, which may be the row itself. The jobs are
-    collected in the order they were submitted, so the results come in
+    The calling thread samples each kernel and each new signal spectrum
+    (or set of block spectra) in scale order; a pool of one worker per
+    usable CPU (at most one per scale) runs the kernel FFT, the product,
+    the inverse FFT and the scaling, then reduce(j, row) on the row it
+    computed, an array nothing else holds, which reduce may overwrite; the
+    job keeps only reduce's result, which may be the row itself. The jobs
+    are collected in the order they were submitted, so the results come in
     scale order with no reorder buffer. At most one job per worker is in
     flight: an exception in a job is raised here once the pool has
     stopped, and a caller that stops iterating (or closes the generator)
@@ -302,43 +353,70 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=None):
     the same inputs as a serial loop would.
 
     With cone, the widths k_j of a cone of influence with 2 k_j < n, row j
-    is only its columns [k_j, n - k_j), and every row runs at the one
-    length smooth(n) (see the module docstring for why that is exact).
+    is only its columns [k_j, n - k_j), run in blocks by _block_plan: the
+    calling thread computes each block length's block spectra once, and
+    the worker fills its row from a chunk of about _CHUNK outputs' blocks
+    at a time (see the module docstring for why that is exact).
     """
     _check_grid(f, w, g)
     x = f.samples
     n = f.n
+    dtype = np.complex128 if w.is_complex else np.float64
     fft, ifft = (np.fft.fft, np.fft.ifft) if w.is_complex else \
         (np.fft.rfft, np.fft.irfft)
 
-    def row(j, c, lo, hi, size, x_spec):
+    def blocks(c, lo, hi, size, step, spectra, scale):
+        # block b holds the linear entries [b step + edge, (b + 1) step
+        # + edge) at its outputs [edge, edge + step), and the row starts
+        # in block 0
+        edge = c.size - 1
+        count = (hi - 1 - edge) // step + 1
+        spec = fft(c[::-1] * scale, size)
+        if len(spectra) == 1:
+            out = ifft(spectra[0][:count] * spec, size)[:, edge:edge + step]
+        else:
+            per = spectra[0].shape[0]
+            out = np.empty((count, step), dtype)
+            for b in range(0, count, per):
+                e = min(b + per, count)
+                out[b:e] = ifft(spectra[b // per][:e - b] * spec,
+                                size)[:, edge:edge + step]
+        return out.reshape(-1)[lo - edge:hi - edge]
+
+    def row(j, c, lo, hi, size, step, spectra):
+        scale = f.dt / np.sqrt(g.scales[j])
+        if step is not None:
+            return reduce(j, blocks(c, lo, hi, size, step, spectra, scale))
         # keep the product one expression over the fresh kernel spectrum K:
         # the operand order sets the last bit of each product, and numpy
-        # computes x_spec * K in place into K, operands swapped, only when
+        # computes spectra * K in place into K, operands swapped, only when
         # K is at least 256 KiB (its temporary-elision threshold); below
-        # that the product is x_spec . K
-        r = ifft(x_spec * fft(c[::-1], size), size)[lo:hi]
-        return reduce(j, np.multiply(r, f.dt / np.sqrt(g.scales[j]), out=r))
+        # that the product is spectra . K
+        r = ifft(spectra * fft(c[::-1], size), size)[lo:hi]
+        return reduce(j, np.multiply(r, scale, out=r))
 
+    whole = _smooth_length(n)
     workers = min(_cpu_count(), g.n_scales)
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()
-        size, x_spec = 0, None
+        plan, spectra = None, None
         for j, a in enumerate(g.scales):
             c, m_lo, m_hi = _kernel(w, a, f.dt, n)
             if cone is None:
-                k, length = 0, _smooth_length(n + max(m_hi, -m_lo))
+                k, size, step = 0, _smooth_length(n + max(m_hi, -m_lo)), None
             else:
-                k, length = int(cone[j]), _smooth_length(n)
-                # the bounds that make the shorter length exact
-                assert max(m_hi, -m_lo) <= k < n - k
-            if length != size:
-                size = length
-                x_spec = fft(x, size)
+                k = int(cone[j])
+                # the bounds that make the blocks exact
+                assert m_lo <= 0 <= m_hi and max(m_hi, -m_lo) <= k < n - k
+                size, step = _block_plan(c.size, whole)
+            if (size, step) != plan:
+                plan = size, step
+                spectra = fft(x, size) if step is None else \
+                    _block_spectra(x, size, step, fft)
             if len(pending) == workers:
                 yield pending.popleft().result()
             pending.append(pool.submit(row, j, c, m_hi + k, m_hi + n - k,
-                                       size, x_spec))
+                                       size, step, spectra))
         while pending:
             yield pending.popleft().result()
 

@@ -583,9 +583,11 @@ def test_analyze_streams_its_dumps(tmp_path):
 @_NEEDS_PROC
 def test_estimate_at_256k_computes_only_interior_rows(tmp_path):
     # 262 144 samples at the estimation grid's 102 scales: the variance
-    # rows run at one FFT length, 262 144, and only their columns outside
-    # the cone reach the reducer (about 63 MB); padding each row to its
-    # own length, up to 364 500, and reducing full rows peaked at 76-83 MB
+    # rows run in blocks sized to their kernels, whose spectra each block
+    # length computes once, and only their columns outside the cone reach
+    # the reducer, a chunk of blocks at a time (about 63 MB); all of a
+    # row's blocks at once peaked at about 77 MB, and padding each row to
+    # its own length, up to 364 500, and reducing full rows at 76-83 MB
     signal = str(tmp_path / "fbm.csv")
     write_signal_csv(signal, gen_fbm(hurst=0.7, n=262144, seed=1))
     assert _peak_mb("estimate", signal, "--json", str(tmp_path / "e.json"),

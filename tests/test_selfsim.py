@@ -133,6 +133,57 @@ def test_streamed_interior_is_the_direct_interior(w, n):
     assert got.counts[-1] == n - 2 * ((n - 1) // 2)
 
 
+def _assert_rows_are_the_direct_interior(f, w, g):
+    n, cone = f.n, transform._cone(f, w, g)
+    direct = cwt_direct(f, w, g)
+    rows = list(transform._fft_rows(f, w, g, lambda j, row: row, cone))
+    assert len(rows) == g.n_scales
+    for j, k in enumerate(cone):
+        want = direct.coefficients[j, k:n - k]
+        assert rows[j].shape == want.shape and rows[j].dtype == want.dtype
+        assert np.abs(rows[j] - want).max() <= 1e-9 * np.abs(want).max()
+    got = wavelet_variance(f, w, g)
+    want = wavelet_autocovariance(direct)
+    assert np.all(np.abs(got.values - want.values)
+                  <= 1e-12 * np.abs(want.values))
+    _assert_same_but_values(got, want)
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, transform._CHUNK])
+@pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
+                         ids=lambda w: w.name)
+def test_block_rows_are_the_direct_interior(monkeypatch, w, chunk):
+    # the rows of block length M run in blocks x[b S : b S + M] at the step
+    # S = 3M/4 + 1, a chunk of blocks at a time, and the coarse rows as one
+    # block; chunk 1 transforms one block per call and 1000 a few
+    monkeypatch.setattr(transform, "_CHUNK", chunk)
+    n = 5000
+    f = TimeSeries(samples=np.random.default_rng(7).standard_normal(n),
+                   dt=1.0 / (n - 1))
+    g = _widest_cone_grid(f, w)
+    g = ScaleGrid.log_spaced(g.a_min, g.a_max, 4.0)
+    cone = transform._cone(f, w, g)
+    # block rows and one-block rows; block rows of several blocks, whose
+    # step does not divide their interior
+    whole = transform._smooth_length(n)
+    plans = [transform._block_plan(transform._kernel(w, a, f.dt, n)[0].size,
+                                   whole) for a in g.scales]
+    assert any(step is None for _, step in plans)
+    assert any(step is not None and (n - 2 * k) // step >= 3
+               and (n - 2 * k) % step for (_, step), k in zip(plans, cone))
+    _assert_rows_are_the_direct_interior(f, w, g)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_mean_power_in_place_is_the_mean_power(dtype):
+    rng = np.random.default_rng(11)
+    row = rng.standard_normal(1001) * 1e3
+    if dtype is np.complex128:
+        row = row + 1j * rng.standard_normal(1001)
+    want = selfsim._mean_power(0, row)
+    assert selfsim._mean_power_in_place(0, row.copy()) == want
+
+
 @pytest.mark.parametrize("n", [300, 375])
 @pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
                          ids=lambda w: w.name)

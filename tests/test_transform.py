@@ -2,6 +2,7 @@
 adaptive quadrature of the defining integral, plus grid, cone, scalogram and
 modulus-maxima behaviour."""
 
+import inspect
 import sys
 import threading
 import tracemalloc
@@ -236,14 +237,53 @@ class _TracedHat(MexicanHat):
         return super().psi(t)
 
 
-def test_kernels_are_sampled_in_the_calling_thread(cpus):
+def _pool_grid(f, cone):
+    """The pool tests' grid up to a quarter of the record, or with cone the
+    variance's grid up to a twentieth and its cone widths: every cone is
+    then narrower than n / 2, and the rows run in blocks at the fine scales
+    and as one block at the coarse ones."""
+    if not cone:
+        return ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0), None
+    g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 20.0, 8.0)
+    steps = [step for _, step in _block_plans(f, MexicanHat(), g)]
+    assert steps[0] is not None and steps[-1] is None
+    return g, transform._cone(f, MexicanHat(), g)
+
+
+def _block_plans(f, w, g):
+    """_block_plan of every row of the variance of f on g."""
+    whole = _smooth_length(f.n)
+    return [transform._block_plan(_kernel(w, a, f.dt, f.n)[0].size, whole)
+            for a in g.scales]
+
+
+def _assert_kernels_sampled_in_the_calling_thread(cone):
     threads = set()
     f = _noise(2000, 3)
-    g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
+    g, widths = _pool_grid(f, cone)
     reduced = list(_fft_rows(f, _TracedHat(threads), g,
-                             lambda j, row: threading.get_ident()))
+                             lambda j, row: threading.get_ident(), widths))
     assert threads == {threading.get_ident()}
     assert len(reduced) == g.n_scales
+
+
+def test_kernels_are_sampled_in_the_calling_thread(cpus):
+    _assert_kernels_sampled_in_the_calling_thread(cone=False)
+
+
+def test_variance_kernels_are_sampled_in_the_calling_thread(cpus):
+    _assert_kernels_sampled_in_the_calling_thread(cone=True)
+
+
+def test_variance_rows_are_the_one_worker_bits(cpus, monkeypatch):
+    f = _noise(2000, 8)
+    g, widths = _pool_grid(f, cone=True)
+    got = list(_fft_rows(f, MexicanHat(), g, lambda j, row: row, widths))
+    _assert_pool_bounds(cpus, g.n_scales)
+    monkeypatch.setattr(transform, "_cpu_count", lambda: 1)
+    want = list(_fft_rows(f, MexicanHat(), g, lambda j, row: row, widths))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert [a.size for a in got] == [f.n - 2 * k for k in widths]
 
 
 def _fail_in_row(bad):
@@ -254,21 +294,26 @@ def _fail_in_row(bad):
 
 
 @pytest.mark.parametrize("where", ["first row", "last row", "kernel",
-                                   "consumer"])
+                                   "consumer", "first row, cone",
+                                   "last block row, cone", "last row, cone",
+                                   "kernel, cone"])
 def test_failures_reach_the_caller_and_stop_the_pool(cpus, where):
     before = set(threading.enumerate())
     f = _noise(2000, 4)
-    g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
-    bad = 0 if where == "first row" else g.n_scales - 1
+    g, widths = _pool_grid(f, cone=where.endswith(", cone"))
+    bad = 0 if where.startswith("first row") else g.n_scales - 1
+    if where.startswith("last block row"):
+        steps = [step for _, step in _block_plans(f, MexicanHat(), g)]
+        bad = steps.index(None) - 1
     w, reduce, message = MexicanHat(), _fail_in_row(bad), f"row {bad} failed"
-    if where == "kernel":
+    if where.startswith("kernel"):
         w, reduce, message = _TracedHat(set(), fail_at=100), \
             lambda j, row: None, "kernel failed"
     with pytest.raises(RuntimeError, match=message):
         if where == "consumer":
             cwt_maxima(f, w, g, _fail_in_row(bad))
         else:
-            list(_fft_rows(f, w, g, reduce))
+            list(_fft_rows(f, w, g, reduce, widths))
     assert not [t for t in threading.enumerate()
                 if t not in before and t.is_alive()]
 
@@ -284,14 +329,15 @@ class _CountedHat(MexicanHat):
         return super().psi(t)
 
 
-@pytest.mark.parametrize("stop", ["break", "consumer"])
+@pytest.mark.parametrize("stop", ["break", "consumer", "break, cone"])
 def test_a_caller_that_stops_early_stops_the_pool(cpus, stop):
     before = set(threading.enumerate())
     f = _noise(2000, 4)
-    g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
+    g, widths = _pool_grid(f, cone=stop.endswith(", cone"))
     w, last = _CountedHat(), 5
-    if stop == "break":
-        for j, _ in enumerate(_fft_rows(f, w, g, lambda j, row: None)):
+    if stop.startswith("break"):
+        for j, _ in enumerate(_fft_rows(f, w, g, lambda j, row: None,
+                                        widths)):
             if j == last:
                 break
     else:
@@ -355,6 +401,69 @@ def test_smooth_length_is_the_next_5_smooth_number():
                 rest //= p
         assert rest == 1 and got >= m
         assert got == smooth[np.searchsorted(smooth, m)]
+
+
+@pytest.mark.parametrize("n", [300, 4096, 5000, 65537])
+def test_block_plan(n):
+    whole = _smooth_length(n)
+    steps, m = {}, 1
+    for size in range(1, n + 1):
+        while m < 4 * size:
+            m *= 2
+        length, step = transform._block_plan(size, whole)
+        # one block, the whole record at smooth(n), exactly when the
+        # smallest power of two at least four kernels long would reach it
+        assert (step is None) == (m >= whole)
+        assert length == min(m, whole)
+        if step is None:
+            continue
+        # every row of one length shares its step, so its block spectra,
+        # and the step keeps each block's valid outputs contiguous
+        assert steps.setdefault(length, step) == step
+        assert step <= length - size + 1
+    assert sorted(steps) == [1 << i for i in range(2, whole.bit_length())
+                             if 1 << i < whole]
+    # the plan reads the kernel length and smooth(n), and nothing else
+    assert list(inspect.signature(transform._block_plan).parameters) == \
+        ["size", "whole"]
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, transform._CHUNK])
+@pytest.mark.parametrize("n", [17, 1000, 5000])
+@pytest.mark.parametrize("fft", [np.fft.rfft, np.fft.fft],
+                         ids=["rfft", "fft"])
+def test_block_spectra_are_the_padded_blocks_in_chunks(
+        monkeypatch, fft, n, chunk):
+    monkeypatch.setattr(transform, "_CHUNK", chunk)
+    x = _noise(n, n).samples
+    for size in (4, 16, 256):
+        if size >= n:
+            continue
+        step = 3 * size // 4 + 1
+        count = (n - 1) // step + 1
+        padded = np.zeros((count - 1) * step + size)
+        padded[:n] = x
+        want = [fft(padded[b * step:b * step + size]) for b in range(count)]
+        spectra = transform._block_spectra(x, size, step, fft)
+        # equal chunks of at most max(1, chunk // step) blocks, the last
+        # one no longer than the others
+        per = spectra[0].shape[0]
+        assert per <= max(1, chunk // step)
+        assert all(s.shape[0] == per for s in spectra[:-1])
+        assert 1 <= spectra[-1].shape[0] <= per
+        assert len(spectra) == -(-count // max(1, chunk // step))
+        got = np.concatenate(spectra)
+        assert got.shape == (count, len(want[0]))
+        assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
+def test_kernel_is_the_conjugated_wavelet(w):
+    a, dt, n = 3.7, 0.5, 100
+    c, m_lo, m_hi = _kernel(w, a, dt, n)
+    psi = w.psi(np.arange(m_lo, m_hi + 1) * dt / a)
+    assert c.dtype == psi.dtype
+    assert np.array_equal(c, np.conj(psi))
 
 
 def _quadrature_oracle(w, samples_of, b, a, lo, hi, singular_at=None):

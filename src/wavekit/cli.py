@@ -5,9 +5,10 @@ maxima, singularity report), estimate (scaling exponents), rasterize (point
 cloud to PGM). Every output file gets a sibling <name>.manifest.json whose
 argv replays the invocation byte for byte.
 
-Exit codes: 0 ok, 2 invalid input or parameters, 3 I/O failure,
-4 incompatible scale grid, 5 degenerate estimation. A run that ends with
-any other code than 0 removes every output file it wrote, manifests too.
+Exit codes: 0 ok, 2 invalid input, parameters or allocation size, 3 I/O
+failure, 4 incompatible scale grid, 5 degenerate estimation: each toolkit
+error carries its own as exit_code. A run that ends with any other code
+than 0 removes every output file it wrote, manifests too.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from dataclasses import asdict
 from . import __version__
 from .detect import (DetectionConfig, detect_from_maxima,
                      require_detection_grid)
-from .errors import (DegenerateFitError, InvalidHurstError, InvalidModelError,
-                     InvalidSignalError, NoValidSamplesError,
-                     OutOfRangeError, ScaleTooFineError, TooFewScalesError)
+from .errors import WavekitError
 from .generate import (NoiseSpec, add_noise, barnsley_tree_model, chaos_game,
                        gen_chirp_jump, gen_eq11, gen_fbm)
 from .io import (RunManifest, points_to_image, read_points_csv,
@@ -35,10 +34,6 @@ from .selfsim import (estimation_grid, fit_power_law, require_estimable,
 from .transform import ScaleGrid, cwt_maxima, energy_density
 from .wavelets import by_name
 
-_BAD_INPUT = (InvalidSignalError, InvalidModelError, InvalidHurstError,
-              OutOfRangeError, ValueError)
-_BAD_GRID = (ScaleTooFineError, TooFewScalesError)
-_DEGENERATE = (DegenerateFitError, NoValidSamplesError)
 # the flags that name output files; each output has a <name>.manifest.json
 _OUTPUT_FLAGS = ("out", "report", "scalogram", "maxima", "json", "covariance")
 # rasterize's largest image side: points_to_image peaks at about 17 bytes
@@ -64,18 +59,9 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         args.handler(args)
-    except _BAD_GRID as exc:
+    except (WavekitError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _DEGENERATE as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except _BAD_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, OSError) else getattr(exc, "exit_code", 2)
     return 0
 
 
@@ -331,10 +317,10 @@ def _cmd_estimate(args) -> None:
 
 def _cmd_rasterize(args) -> None:
     if args.width < 16 or args.height < 16:
-        raise InvalidSignalError(
+        raise ValueError(
             f"image must be at least 16x16, got {args.width}x{args.height}")
     if max(args.width, args.height) > _MAX_IMAGE_SIDE:
-        raise InvalidSignalError(
+        raise ValueError(
             f"--width and --height must be at most {_MAX_IMAGE_SIDE}, "
             f"got {args.width}x{args.height}")
     pts = read_points_csv(args.input)

@@ -2,7 +2,10 @@
 
 
 class WavekitError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. exit_code is the command line's
+    exit status for one: 2, invalid input, unless its class says otherwise."""
+
+    exit_code = 2
 
 
 class InvalidSignalError(WavekitError):
@@ -12,9 +15,13 @@ class InvalidSignalError(WavekitError):
 class ScaleTooFineError(WavekitError):
     """Requested scale grid reaches below 2*dt."""
 
+    exit_code = 4
+
 
 class TooFewScalesError(WavekitError):
     """Operation needs more scales than the grid provides."""
+
+    exit_code = 4
 
 
 class InvalidModelError(WavekitError):
@@ -28,9 +35,13 @@ class InvalidHurstError(WavekitError):
 class NoValidSamplesError(WavekitError):
     """Cone-of-influence exclusion left a scale with no samples."""
 
+    exit_code = 5
+
 
 class DegenerateFitError(WavekitError):
     """Log-log regression has too few positive entries to fit."""
+
+    exit_code = 5
 
 
 class OutOfRangeError(WavekitError):

@@ -113,16 +113,11 @@ def _interior_counts(scales: np.ndarray, cone: np.ndarray, n: int):
 
 
 def _mean_power(j: int, interior: np.ndarray) -> float:
-    """Mean |W|^2 of row j's interior coefficients."""
-    return np.mean(np.abs(interior) ** 2)
-
-
-def _mean_power_in_place(j: int, interior: np.ndarray) -> float:
-    """_mean_power of a row no one else holds, as _fft_rows hands it over:
-    a real row is squared in place, x * x being |x|^2 to the bit, so no
-    temporary of the row's size is made."""
+    """Mean |W|^2 of row j's interior, an array no one else holds, as
+    _fft_rows hands it over: a real row is squared in place, x * x being
+    |x|^2 to the bit, so no temporary of the row's size is made."""
     if np.iscomplexobj(interior):
-        return _mean_power(j, interior)
+        return np.mean(np.abs(interior) ** 2)
     return np.mean(np.square(interior, out=interior))
 
 
@@ -131,8 +126,8 @@ def wavelet_autocovariance(c: CwtMatrix) -> WaveletAutoCovariance:
     scale."""
     n = len(c.times)
     counts = _interior_counts(c.scales, c.cone_of_influence, n)
-    values = np.array([_mean_power(j, row[k:n - k]) for j, (row, k) in
-                       enumerate(zip(c.coefficients, c.cone_of_influence))])
+    values = np.array([np.mean(np.abs(row[k:n - k]) ** 2) for row, k in
+                       zip(c.coefficients, c.cone_of_influence)])
     return WaveletAutoCovariance(scales=c.scales.copy(), values=values,
                                  counts=counts, wavelet=c.wavelet.name,
                                  n_samples=n, dt=c.dt)
@@ -159,7 +154,7 @@ def wavelet_variance(f: TimeSeries, wavelet: Wavelet,
     cone = _cone(f, wavelet, grid)
     counts = _interior_counts(grid.scales, cone, f.n)
     values = np.fromiter(
-        _fft_rows(f, wavelet, grid, _mean_power_in_place, cone),
+        _fft_rows(f, wavelet, grid, _mean_power, cone),
         dtype=np.float64, count=grid.n_scales)
     return WaveletAutoCovariance(scales=grid.scales.copy(), values=values,
                                  counts=counts, wavelet=wavelet.name,

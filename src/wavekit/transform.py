@@ -220,9 +220,13 @@ class MaximaSet:
 
 
 def _check_grid(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> None:
-    """Refuse a grid finer than 2 dt (ScaleTooFineError), or one whose
-    coarsest scale reaches further than float64 holds in samples
-    (ValueError): every count of samples taken from a / dt is then finite."""
+    """Refuse a wavelet whose support does not contain 0 (ValueError), a
+    grid finer than 2 dt (ScaleTooFineError), or one whose coarsest scale
+    reaches further than float64 holds in samples (ValueError): every
+    count of samples taken from a / dt is then finite."""
+    lo, hi = w.support
+    if not lo <= 0.0 <= hi:
+        raise ValueError(f"wavelet support ({lo:g}, {hi:g}) must contain 0")
     if g.a_min < 2.0 * f.dt * (1.0 - 1e-12):
         raise ScaleTooFineError(
             f"finest scale {g.a_min:g} is below 2*dt = {2 * f.dt:g}")
@@ -372,15 +376,12 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=None):
         edge = c.size - 1
         count = (hi - 1 - edge) // step + 1
         spec = fft(c[::-1] * scale, size)
-        if len(spectra) == 1:
-            out = ifft(spectra[0][:count] * spec, size)[:, edge:edge + step]
-        else:
-            per = spectra[0].shape[0]
-            out = np.empty((count, step), dtype)
-            for b in range(0, count, per):
-                e = min(b + per, count)
-                out[b:e] = ifft(spectra[b // per][:e - b] * spec,
-                                size)[:, edge:edge + step]
+        per = spectra[0].shape[0]
+        out = np.empty((count, step), dtype)
+        for b in range(0, count, per):
+            e = min(b + per, count)
+            out[b:e] = ifft(spectra[b // per][:e - b] * spec,
+                            size)[:, edge:edge + step]
         return out.reshape(-1)[lo - edge:hi - edge]
 
     def row(j, c, lo, hi, size, step, spectra):

@@ -2,6 +2,10 @@
 
 All wavelets are normalized to unit L2 energy and zero mean. The Fourier
 convention is psi_hat(w) = integral psi(t) exp(-i w t) dt.
+
+Each wavelet's unit-scale support (lo, hi) contains 0: the CWT routes
+slice their convolutions on kernel offsets that span 0, and refuse
+(ValueError) a wavelet whose support does not.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import wavekit
+from wavekit import cli, errors
 from wavekit import (DetectionConfig, ScaleGrid, TimeSeries, by_name, cwt_fft,
                      detect_singularities, gen_chirp_jump, gen_fbm,
                      modulus_maxima, scalogram)
@@ -183,6 +185,71 @@ def test_generation_is_deterministic_across_invocations(tmp_path):
 def test_missing_input_is_an_io_error(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.csv")]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+# every error the command line turns into an exit code, with its code
+_EXIT_CODES = {
+    errors.WavekitError: 2,
+    errors.InvalidSignalError: 2,
+    errors.ScaleTooFineError: 4,
+    errors.TooFewScalesError: 4,
+    errors.InvalidModelError: 2,
+    errors.InvalidHurstError: 2,
+    errors.NoValidSamplesError: 5,
+    errors.DegenerateFitError: 5,
+    errors.OutOfRangeError: 2,
+    ValueError: 2,
+    MemoryError: 2,
+    OSError: 3,
+}
+
+
+@pytest.mark.parametrize("exc, code", list(_EXIT_CODES.items()),
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_exit_code_table(capsys, exc, code):
+    def handler(args):
+        raise exc("the handler failed")
+
+    assert cli._run(argparse.Namespace(handler=handler)) == code
+    assert capsys.readouterr().err == "error: the handler failed\n"
+
+
+def test_exit_code_table_holds_every_error_class():
+    classes = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes <= set(_EXIT_CODES)
+
+
+def test_an_exception_outside_the_table_is_not_an_exit_code():
+    def handler(args):
+        raise RuntimeError("a fault in the program")
+
+    with pytest.raises(RuntimeError):
+        cli._run(argparse.Namespace(handler=handler))
+
+
+@pytest.mark.parametrize("kind, maker, extra", [
+    ("chirp-jump", "gen_chirp_jump", []),
+    ("eq11", "gen_eq11", []),
+    ("fbm", "gen_fbm", ["--hurst", "0.7", "--seed", "1"]),
+    ("ifs", "chaos_game", ["--seed", "1"]),
+], ids=["chirp-jump", "eq11", "fbm", "ifs"])
+def test_a_request_too_large_to_allocate_exits_2(tmp_path, capsys,
+                                                 monkeypatch, kind, maker,
+                                                 extra):
+    """A generator that cannot allocate its output ends the run with exit
+    2 and leaves no file. The generator is a stub: whether a real
+    allocation of 10^12 samples fails depends on the host's memory
+    overcommit policy."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, maker, no_memory)
+    out = tmp_path / "g.csv"
+    assert main(["gen", kind, "--n", "1000000000000", "--out", str(out),
+                 *extra]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_csv_names_the_line(tmp_path, capsys):

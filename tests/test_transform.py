@@ -3,10 +3,12 @@ adaptive quadrature of the defining integral, plus grid, cone, scalogram and
 modulus-maxima behaviour."""
 
 import inspect
+import re
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -93,6 +95,41 @@ def test_transform_refuses_a_reach_past_float64(w):
             route(f, w, g)
     fine = ScaleGrid(scales=np.array([2.0, reach / 4.0]))
     _check_grid(f, w, fine)
+
+
+@dataclass(frozen=True)
+class _ShiftedHaar:
+    """The Haar wavelet moved to the support (shift, shift + 1)."""
+
+    shift: float
+    name = "shifted-haar"
+    is_complex = False
+
+    @property
+    def support(self):
+        return (self.shift, self.shift + 1.0)
+
+    def psi(self, t):
+        return Haar().psi(np.asarray(t) - self.shift)
+
+
+@pytest.mark.parametrize("shift", [4.0, -5.0])
+def test_transform_refuses_a_support_without_zero(monkeypatch, shift):
+    """A support that does not contain 0 is refused on every CWT route
+    before any kernel is sampled."""
+    def no_kernel(*args):
+        raise AssertionError("a kernel was sampled")
+
+    monkeypatch.setattr(transform, "_kernel", no_kernel)
+    f = _noise(5000, 1, dt=1.0)
+    w = _ShiftedHaar(shift)
+    g = ScaleGrid(scales=np.array([2.0, 4.0]))
+    for route in (cwt_fft, cwt_direct, cwt_maxima, wavelet_variance):
+        with pytest.raises(ValueError, match=re.escape(
+                f"wavelet support ({shift:g}, {shift + 1:g}) must contain 0")):
+            route(f, w, g)
+    for edge in (-1.0, 0.0):
+        _check_grid(f, _ShiftedHaar(edge), g)
 
 
 # ------------------------------------------------------ rows on a pool

@@ -39,26 +39,31 @@ once and held as 24-byte text, the longest '%.17g' gives, and gathered per
 block. The scalogram is written one scale at a time through scalogram_tsv,
 so a caller can stream it from the transform's rows.
 
-The signal and point readers parse a file in one np.loadtxt pass. A
-memory-mapped scan first checks that every '#' begins its line (after
-blanks): loadtxt would cut a line at any '#', while these formats allow
-comments only as whole lines. When the scan finds such a '#', or loadtxt
-refuses the file or finds a column count the format does not allow, one
-per-line loop parses the file again. Before that, a file loadtxt refuses
-is tried once more with its blank and comment-only lines dropped, the
-lines the per-line loop skips: loadtxt refuses a line that holds only
-whitespace, which is also what an indented comment leaves once its '#'
-is cut, and one such line would otherwise send a long file to the loop.
-That loop is the only source of error messages, which name file:line,
-and it also takes the rare forms float() accepts and loadtxt does not
-("1_0", non-ASCII digits). All routes give the same float64 values.
+The signal and point readers parse a regular file in one streamed
+np.loadtxt pass, so nothing but the table grows with the file: the leading
+blank and comment lines are skipped, and loadtxt, with comments off, reads
+the first data line and the rest of the handle. These formats allow
+comments only as whole lines; with comments off, any '#' after the first
+data line makes loadtxt refuse, so "1.0,2.0 # note" needs no separate
+scan. A refused file is parsed once more from the lines the per-line
+loop keeps, the blank and comment lines dropped: loadtxt also refuses a
+line that holds only whitespace, and one such line would otherwise send a
+long file to the loop. When that also fails, or the column count is one
+the format does not allow, one per-line loop parses the file again. Input
+that is not a regular file, such as a pipe, goes to that loop at once,
+since it can be read only once. The loop is the only source of error
+messages, which name file:line, and it also takes the rare forms float()
+accepts and loadtxt does not ("1_0", non-ASCII digits). All routes give
+the same float64 values.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import mmap
+import os
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -345,51 +350,39 @@ def _table(path: str, widths: tuple, bad_width: str,
     count is not in widths; inconsistent names a later row whose count
     differs from the first's.
     """
-    if _comments_are_whole_lines(path):
+    if stat.S_ISREG(os.stat(path).st_mode):
+        # past the first data line loadtxt reads the handle itself: sending
+        # every line through _data_lines makes fbm.csv and fern.csv read
+        # 25-45% slower, so that filter is kept for a refused file
         with open(path) as fh:
-            table = _loadtxt(fh)
+            first = itertools.islice(_data_lines(fh), 1)
+            table = _loadtxt(itertools.chain(first, fh))
         if table is None:
             with open(path) as fh:
-                table = _loadtxt(line for line in fh
-                                 if line.strip()[:1] not in ("", "#"))
+                table = _loadtxt(_data_lines(fh))
         if table is not None and table.shape[1] in widths:
             return table
     return _rows(path, widths, bad_width, inconsistent)
 
 
+def _data_lines(fh):
+    """The lines the per-line loop parses: neither blank nor a comment."""
+    return (line for line in fh if line.strip()[:1] not in ("", "#"))
+
+
 def _loadtxt(lines) -> np.ndarray | None:
-    """The lines as an (n, k) float64 table, or None if loadtxt refuses them."""
+    """The lines as an (n, k) float64 table, or None if loadtxt refuses them.
+
+    With comments off, a '#' anywhere in the lines is a refusal.
+    """
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return np.loadtxt(lines, delimiter=",", comments="#",
+            return np.loadtxt(lines, delimiter=",", comments=None,
                               dtype=np.float64, ndmin=2)
         except ValueError:
             return None
-
-
-def _comments_are_whole_lines(path: str) -> bool:
-    """Whether every '#' in the file has only blanks before it on its line.
-
-    False as well for a file that cannot be mapped (empty, or not a
-    regular file), which leaves it to the per-line loop.
-    """
-    with open(path, "rb") as fh:
-        try:
-            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            return False
-    with mm:
-        lo, pos = 0, mm.find(b"#")
-        while pos >= 0:
-            # With no line break since the previous '#', this one sits on
-            # the same comment line and needs no check.
-            start = max(mm.rfind(b"\n", lo, pos), mm.rfind(b"\r", lo, pos)) + 1
-            if (start or not lo) and mm[start:pos].strip():
-                return False
-            lo, pos = pos + 1, mm.find(b"#", pos + 1)
-    return True
 
 
 def _rows(path: str, widths: tuple, bad_width: str,

@@ -58,6 +58,9 @@ class Morlet:
     def __post_init__(self):
         if not (np.isfinite(self.omega0) and self.omega0 >= 5.0):
             raise ValueError(f"morlet center frequency must be >= 5, got {self.omega0}")
+        w0 = float(self.omega0)  # a float64 square would warn on overflow
+        if not np.isfinite(w0 * w0):
+            raise ValueError(f"morlet center frequency squared must be finite, got {self.omega0}")
 
     @property
     def _kappa(self) -> float:

@@ -510,6 +510,11 @@ _SWEEP += [(cmd, f"--voices={v}") for cmd in ("analyze", "estimate")
            for v in (0, -1)]
 
 
+def _wavelet_for(setting):
+    """Morlet's flags for a setting that only Morlet reads."""
+    return ("--wavelet", "morlet") if setting.startswith("--omega0") else ()
+
+
 @pytest.mark.parametrize("command, setting", _SWEEP)
 def test_extreme_settings_end_in_an_exit_code(tmp_path, sweep_inputs,
                                               command, setting):
@@ -518,7 +523,8 @@ def test_extreme_settings_end_in_an_exit_code(tmp_path, sweep_inputs,
     file it leaves is strict JSON; a refused run writes nothing."""
     out = str(tmp_path / "out.json")
     to = "--report" if command == "analyze" else "--json"
-    code = main([command, sweep_inputs[command], setting, to, out])
+    code = main([command, sweep_inputs[command], setting, to, out,
+                 *_wavelet_for(setting)])
     assert code in {0, 2, 4, 5}
     written = sorted(os.listdir(tmp_path))
     if code:
@@ -531,6 +537,10 @@ def test_extreme_settings_end_in_an_exit_code(tmp_path, sweep_inputs,
 _REFUSED = [
     ("analyze", "--omega0=nan", 2, "omega0 must be finite"),
     ("estimate", "--omega0=inf", 2, "omega0 must be finite"),
+    # finite, but Morlet's kernel takes its square
+    ("analyze", "--omega0=1e155 --wavelet=morlet", 2, "squared must be finite"),
+    ("estimate", "--omega0=1e155 --wavelet=morlet", 2,
+     "squared must be finite"),
     ("analyze", "--a-max=inf", 2, "a_max / a_min must be finite"),
     ("analyze", "--a-max=1e308", 2, "a_max / a_min must be finite"),
     ("estimate", "--a-max=inf", 2, "a_max / a_min must be finite"),
@@ -560,7 +570,7 @@ def test_out_of_range_grid_and_wavelet_are_invalid_input(
         dumps):
     """A refused run writes nothing, the streamed scalogram included."""
     to = "--report" if command == "analyze" else "--json"
-    argv = [command, sweep_inputs[command], setting, to,
+    argv = [command, sweep_inputs[command], *setting.split(), to,
             str(tmp_path / "out.json")]
     argv += [str(tmp_path / a) if a.endswith(".tsv") else a for a in dumps]
     assert main(argv) == code

@@ -2,6 +2,9 @@ import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -819,6 +822,9 @@ _CORPUS = {
     "inline-note-values": "1\n2 # note\n3\n",
     "inline-hash-only": "0,1#\n1,2\n",
     "hashes-in-a-comment": "## title # more\n0,1\n1,2\n",
+    "comment-between-rows": "0,1\n# mid\n1,2\n",
+    "comment-after-last-row": "0,1\n1,2\n# end",
+    "note-after-a-header": "# h\n0,1 # x\n1,2\n",
     "indented-comment": "  # c\n\t# d\n0,1\n1,2\n",
     "underscore": "0,1_0\n1,2\n",
     "underscore-values": "1_0\n2\n",
@@ -958,3 +964,89 @@ def test_blank_and_indented_comment_lines_skip_the_line_loop(tmp_path,
     assert got.samples.tobytes() == want.samples.tobytes()
     assert (got.dt, got.t0) == (want.dt, want.t0)
     assert read_points_csv(str(cloud)).tolist() == [[0.0, 1.0], [1.0, 2.0]]
+
+
+def _read_from_fifo(tmp_path, text, read):
+    """read(path) of a FIFO that a thread writes text into once: what it
+    returns, or the exception it raises.
+
+    A reader that opens the FIFO a second time would wait for a writer
+    forever, so it runs in a thread too, and a join timeout ends the wait.
+    """
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(read(fifo))
+        except Exception as exc:
+            outcome.append(exc)
+
+    writer = threading.Thread(target=write, daemon=True)
+    reader = threading.Thread(target=run, daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=30)
+    if reader.is_alive():
+        # an empty write end ends the waiting open with EOF
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=30)
+        pytest.fail("the reader opened the FIFO more than once")
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    os.unlink(fifo)
+    return outcome[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_is_read_in_one_pass(tmp_path):
+    clean = tmp_path / "clean.csv"
+    write_signal_csv(str(clean), gen_chirp_jump(300))
+    want = read_signal_csv(str(clean))
+    got = _read_from_fifo(tmp_path, clean.read_text(), read_signal_csv)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert (got.dt, got.t0) == (want.dt, want.t0)
+    bad = _read_from_fifo(tmp_path, "0,1\nabc,2\n", read_points_csv)
+    assert isinstance(bad, InvalidSignalError)
+    assert str(bad).startswith(str(tmp_path / "fifo") + ":2: not numeric")
+
+
+# reads the points CSV in argv[1] in a fresh interpreter and prints the rise
+# of its peak resident set size in KiB; VmHWM, since ru_maxrss would also
+# count the memory of the test process the child was forked from
+_READ_PEAK_CHILD = """
+import sys
+import wavekit.io
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+before = hwm()
+wavekit.io.read_points_csv(sys.argv[1])
+print(hwm() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set size from /proc")
+def test_reading_points_does_not_hold_the_file_in_memory(tmp_path):
+    # 400 000 points are a 6.4 MB table in a 16.1 MB file: reading them
+    # raises the peak by about 7.3 MB; mapping the whole file to look for
+    # a '#' inside a line raised it by about 15.2 MB
+    cloud = str(tmp_path / "cloud.csv")
+    write_points_csv(cloud, np.random.default_rng(1).normal(size=(400000, 2)))
+    src = os.path.dirname(os.path.dirname(wavekit.io.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", _READ_PEAK_CHILD, cloud],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert int(done.stdout) / 1024 <= 11.0

@@ -65,6 +65,9 @@ def test_morlet_rejects_low_center_frequency():
         Morlet(omega0=4.0)
     with pytest.raises(ValueError):
         Morlet(omega0=np.nan)
+    with pytest.raises(ValueError, match="squared must be finite"):
+        Morlet(omega0=1e155)
+    Morlet(omega0=1e154)  # its square still fits float64
     Morlet(omega0=5.0)  # boundary is allowed
 
 

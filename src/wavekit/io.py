@@ -39,19 +39,17 @@ once and held as 24-byte text, the longest '%.17g' gives, and gathered per
 block. The scalogram is written one scale at a time through scalogram_tsv,
 so a caller can stream it from the transform's rows.
 
-The signal and point readers parse a regular file in one streamed
-np.loadtxt pass, so nothing but the table grows with the file: the leading
-blank and comment lines are skipped, and loadtxt, with comments off, reads
-the first data line and the rest of the handle. These formats allow
-comments only as whole lines; with comments off, any '#' after the first
-data line makes loadtxt refuse, so "1.0,2.0 # note" needs no separate
-scan. A refused file is parsed once more from the lines the per-line
-loop keeps, the blank and comment lines dropped: loadtxt also refuses a
-line that holds only whitespace, and one such line would otherwise send a
-long file to the loop. When that also fails, or the column count is one
-the format does not allow, one per-line loop parses the file again. Input
-that is not a regular file, such as a pipe, goes to that loop at once,
-since it can be read only once. The loop is the only source of error
+The signal and point readers open their input once and read it in
+chunks of about _CHUNK bytes of whole lines, so a file and a pipe take the
+same route and nothing but the table grows with the input. Each chunk is
+parsed by np.loadtxt with comments off. These formats allow comments only
+as whole lines; with comments off, any '#' in a chunk makes loadtxt refuse
+it, so "1.0,2.0 # note" needs no separate scan. A refused chunk is parsed
+once more from the lines the per-line loop keeps, the blank and comment
+lines dropped: loadtxt also refuses a line that holds only whitespace. When
+that also fails, or the column count is one the format does not allow or
+unlike the first rows', the per-line loop parses that chunk, numbering its
+lines on from the chunks before. The loop is the only source of error
 messages, which name file:line, and it also takes the rare forms float()
 accepts and loadtxt does not ("1_0", non-ASCII digits). All routes give
 the same float64 values.
@@ -59,11 +57,8 @@ the same float64 values.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import os
-import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -74,6 +69,7 @@ from .errors import InvalidSignalError
 from .series import TimeSeries
 
 _BLOCK_ROWS = 4096
+_CHUNK = 1 << 16         # bytes of lines the CSV readers parse at a time
 _LABEL = 24             # the longest '%.17g' text: -2.2250738585072014e-308
 _EMAX = 282             # the exponent tables cover 10**-282 .. 10**282
 _SPLITTER = 134217729.0     # 2**27 + 1, Dekker's split into 26-bit halves
@@ -350,24 +346,28 @@ def _table(path: str, widths: tuple, bad_width: str,
     count is not in widths; inconsistent names a later row whose count
     differs from the first's.
     """
-    if stat.S_ISREG(os.stat(path).st_mode):
-        # past the first data line loadtxt reads the handle itself: sending
-        # every line through _data_lines makes fbm.csv and fern.csv read
-        # 25-45% slower, so that filter is kept for a refused file
-        with open(path) as fh:
-            first = itertools.islice(_data_lines(fh), 1)
-            table = _loadtxt(itertools.chain(first, fh))
-        if table is None:
-            with open(path) as fh:
-                table = _loadtxt(_data_lines(fh))
-        if table is not None and table.shape[1] in widths:
-            return table
-    return _rows(path, widths, bad_width, inconsistent)
+    table, width, done = np.empty((0, widths[0])), None, 0
+    with open(path) as fh:
+        while chunk := fh.readlines(_CHUNK):
+            part = _loadtxt(chunk)
+            if part is None:
+                part = _loadtxt(_data_lines(chunk))
+            if part is None or len(part) and \
+                    part.shape[1] not in ((width,) if width else widths):
+                part = _rows(path, chunk, done, width, widths, bad_width,
+                             inconsistent)
+            done += len(chunk)
+            if len(part):
+                width, n = part.shape[1], len(table)
+                # realloc: a large table's pages are moved, not copied
+                table.resize((n + len(part), width), refcheck=False)
+                table[n:] = part
+    return table
 
 
-def _data_lines(fh):
+def _data_lines(lines):
     """The lines the per-line loop parses: neither blank nor a comment."""
-    return (line for line in fh if line.strip()[:1] not in ("", "#"))
+    return (line for line in lines if line.strip()[:1] not in ("", "#"))
 
 
 def _loadtxt(lines) -> np.ndarray | None:
@@ -385,28 +385,28 @@ def _loadtxt(lines) -> np.ndarray | None:
             return None
 
 
-def _rows(path: str, widths: tuple, bad_width: str,
-          inconsistent: str) -> np.ndarray:
-    """_table one line at a time; raises InvalidSignalError at file:line."""
-    rows, width = [], None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if width not in widths:
-                    raise InvalidSignalError(
-                        f"{path}:{lineno}: " + bad_width.format(width))
-            elif len(parts) != width:
-                raise InvalidSignalError(f"{path}:{lineno}: {inconsistent}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
+def _rows(path: str, lines: list, done: int, width: int | None,
+          widths: tuple, bad_width: str, inconsistent: str) -> np.ndarray:
+    """_table of one chunk, a line at a time, after done lines whose rows had
+    width columns (None: no row yet); raises InvalidSignalError at file:line."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=done + 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+            if width not in widths:
                 raise InvalidSignalError(
-                    f"{path}:{lineno}: not numeric: {line!r}") from None
+                    f"{path}:{lineno}: " + bad_width.format(width))
+        elif len(parts) != width:
+            raise InvalidSignalError(f"{path}:{lineno}: {inconsistent}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise InvalidSignalError(
+                f"{path}:{lineno}: not numeric: {line!r}") from None
     return np.array(rows, dtype=np.float64).reshape(len(rows),
                                                     width or widths[0])
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wavekit.io
@@ -871,14 +871,32 @@ _CORPUS = {
 }
 
 
-@pytest.mark.parametrize("text", list(_CORPUS.values()), ids=list(_CORPUS))
-def test_readers_match_the_line_loops_on_the_corpus(tmp_path, text):
+# a few bytes: each chunk is one or two lines, so every row, error line,
+# width change and comment or blank run falls across a chunk boundary
+_SMALL_CHUNK = 3
+
+
+@pytest.fixture(params=[wavekit.io._CHUNK, _SMALL_CHUNK],
+                ids=["default-chunks", f"chunks-of-{_SMALL_CHUNK}"])
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(wavekit.io, "_CHUNK", request.param)
+    return request.param
+
+
+# the corpus cases keep their ids at the default chunk size
+@pytest.mark.parametrize(
+    "text, chunk",
+    [(text, size) for size in (wavekit.io._CHUNK, _SMALL_CHUNK)
+     for text in _CORPUS.values()],
+    ids=[*_CORPUS, *(f"{k}-chunks-of-{_SMALL_CHUNK}" for k in _CORPUS)],
+    indirect=["chunk"])
+def test_readers_match_the_line_loops_on_the_corpus(tmp_path, text, chunk):
     p = tmp_path / "c.csv"
     p.write_bytes(text.encode())
     _assert_readers_agree(str(p))
 
 
-def test_readers_match_the_line_loops_on_undecodable_bytes(tmp_path):
+def test_readers_match_the_line_loops_on_undecodable_bytes(tmp_path, chunk):
     p = tmp_path / "c.csv"
     p.write_bytes(b"0,1\n1,2\xff\n")
     _assert_readers_agree(str(p))
@@ -902,15 +920,18 @@ def _csv_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
 
 
-@settings(max_examples=300, deadline=None)
+# chunk only sets a module constant, so its examples may share it
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_csv_texts())
-def test_readers_match_the_line_loops_on_fuzzed_text(tmp_path_factory, text):
+def test_readers_match_the_line_loops_on_fuzzed_text(tmp_path_factory, chunk,
+                                                     text):
     p = tmp_path_factory.mktemp("fuzz") / "f.csv"
     p.write_bytes(text.encode())
     _assert_readers_agree(str(p))
 
 
-def test_readers_round_trip_seventeen_digits_at_64k(tmp_path):
+def test_readers_round_trip_seventeen_digits_at_64k(tmp_path, chunk):
     n = 65536
     values = _special_values(3 * n, 9)
     samples = values[np.isfinite(values)][:n]
@@ -1037,16 +1058,20 @@ print(hwm() - before)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak resident set size from /proc")
-def test_reading_points_does_not_hold_the_file_in_memory(tmp_path):
-    # 400 000 points are a 6.4 MB table in a 16.1 MB file: reading them
-    # raises the peak by about 7.3 MB; mapping the whole file to look for
-    # a '#' inside a line raised it by about 15.2 MB
+@pytest.mark.parametrize("piped", [False, True], ids=["path", "pipe"])
+def test_reading_points_does_not_hold_the_file_in_memory(tmp_path, piped):
+    # 400 000 points are a 6.4 MB table in a 16.1 MB file: reading them by
+    # path or from a pipe raises the peak by about 6 MB; mapping the whole
+    # file to look for a '#' inside a line raised it by about 15.2 MB, and
+    # parsing a pipe a line at a time into Python lists by about 78 MB
     cloud = str(tmp_path / "cloud.csv")
     write_points_csv(cloud, np.random.default_rng(1).normal(size=(400000, 2)))
     src = os.path.dirname(os.path.dirname(wavekit.io.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", _READ_PEAK_CHILD, cloud],
-                          env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
+    done = subprocess.run(
+        [sys.executable, "-c", _READ_PEAK_CHILD,
+         "/dev/stdin" if piped else cloud],
+        input=(tmp_path / "cloud.csv").read_text() if piped else None,
+        env=env, capture_output=True, text=True, timeout=120, check=True)
     assert int(done.stdout) / 1024 <= 11.0

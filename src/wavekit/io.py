@@ -39,10 +39,14 @@ once and held as 24-byte text, the longest '%.17g' gives, and gathered per
 block. The scalogram is written one scale at a time through scalogram_tsv,
 so a caller can stream it from the transform's rows.
 
-The signal and point readers open their input once and read it in
-chunks of about _CHUNK bytes of whole lines, so a file and a pipe take the
-same route and nothing but the table grows with the input. Each chunk is
-parsed by np.loadtxt with comments off. These formats allow comments only
+The signal and point readers open their input once, as UTF-8 whatever the
+locale, and read it in chunks of about _CHUNK bytes of whole lines, so a
+file and a pipe take the same route and nothing but the table grows with
+the input. A byte that is not UTF-8 decodes to a lone surrogate, so it
+cannot stop a chunk part-way. A chunk that is not ASCII goes to the
+per-line loop, which refuses the first line that holds such a byte,
+comment lines included. Any other chunk is parsed by np.loadtxt with
+comments off. These formats allow comments only
 as whole lines; with comments off, any '#' in a chunk makes loadtxt refuse
 it, so "1.0,2.0 # note" needs no separate scan. A refused chunk is parsed
 once more from the lines the per-line loop keeps, the blank and comment
@@ -347,9 +351,10 @@ def _table(path: str, widths: tuple, bad_width: str,
     differs from the first's.
     """
     table, width, done = np.empty((0, widths[0])), None, 0
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         while chunk := fh.readlines(_CHUNK):
-            part = _loadtxt(chunk)
+            part = _loadtxt(chunk) if "".join(chunk).isascii() else _rows(
+                path, chunk, done, width, widths, bad_width, inconsistent)
             if part is None:
                 part = _loadtxt(_data_lines(chunk))
             if part is None or len(part) and \
@@ -388,9 +393,15 @@ def _loadtxt(lines) -> np.ndarray | None:
 def _rows(path: str, lines: list, done: int, width: int | None,
           widths: tuple, bad_width: str, inconsistent: str) -> np.ndarray:
     """_table of one chunk, a line at a time, after done lines whose rows had
-    width columns (None: no row yet); raises InvalidSignalError at file:line."""
+    width columns (None: no row yet); raises InvalidSignalError at file:line,
+    also at a line, comment or not, that held a byte that is not UTF-8."""
     rows = []
     for lineno, raw in enumerate(lines, start=done + 1):
+        try:
+            raw.encode()  # refuses the lone surrogate such a byte became
+        except UnicodeEncodeError:
+            raise InvalidSignalError(
+                f"{path}:{lineno}: not UTF-8 text") from None
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -99,9 +99,7 @@ def _interior_counts(scales: np.ndarray, cone: np.ndarray, n: int):
     cone k samples wide: boundary response biases the coarse scales
     upward. The first scale that keeps no column (k >= n - k) raises
     NoValidSamplesError, before any row is computed, so every cone that
-    passes is narrower than n / 2, as wavelet_variance's blocks need: the
-    interior then lies in the valid outputs of the blocks (see the
-    transform module).
+    passes is narrower than n / 2, as the transform's rows need.
     """
     widths = cone.tolist()
     for a, k in zip(scales, widths):
@@ -137,16 +135,12 @@ def wavelet_variance(f: TimeSeries, wavelet: Wavelet,
                      grid: ScaleGrid) -> WaveletAutoCovariance:
     """wavelet_autocovariance(cwt_fft(f, wavelet, grid)), streamed.
 
-    Only each row's columns outside the cone of influence are computed,
-    by overlap-save: a row whose kernel spans K samples runs on blocks of
-    the smallest power of two M >= 4K samples, whose spectra every row of
-    that length shares, and a row whose M would reach smooth(n) runs as
-    one block, the whole record at smooth(n) (exact on those columns, see
-    the transform module). The worker that computed each row reduces it
-    to its mean |W|^2, squaring a real row in place, so the matrix is
-    never held. The values agree with the matrix route to FFT roundoff,
-    within 1e-12 relative per scale, and have the same bits for any worker
-    count; counts and scales are the same. A too-fine grid
+    Only each row's columns outside the cone of influence are computed, by
+    the transform module's one rule for every row. The worker that computed
+    each row reduces it to its mean |W|^2, squaring a real row in place, so
+    the matrix is never held. The values agree with the matrix route to FFT
+    roundoff, within 1e-12 relative per scale, and have the same bits for
+    any worker count; counts and scales are the same. A too-fine grid
     (ScaleTooFineError) and then a scale the cone swallows
     (NoValidSamplesError) are refused before any FFT runs.
     """

@@ -14,29 +14,28 @@ Both routes sample the kernel at offsets m_lo <= m <= m_hi that cover the
 wavelet's support, clipped to |m| <= n - 1: no sample lies further away, so
 the clipped terms multiply nothing. The FFT route convolves the signal
 with the reversed kernel, K = m_hi - m_lo + 1 samples, whose linear
-result has entries 0 .. n + K - 2 and holds W[i] at entry m_hi + i. It
-convolves circularly, and has two length rules:
-
-- cwt_fft (and cwt_maxima) keeps every column, the linear-convolution
-  entries m_hi .. m_hi + n - 1, and pads to L = the smallest 2^i 3^j 5^k
-  >= n + max(m_hi, -m_lo): at that length no other entry wraps onto them.
-- The wavelet variance keeps only the columns [k, n - k) outside a cone
-  k >= max(m_hi, -m_lo) samples wide, with 2k < n, and runs each row in
-  blocks (overlap-save). Row j runs at M = the smallest power of two
-  >= 4K, on the blocks x[b S : b S + M], zero past n, for every block
-  start b S < n, at the one step S = 3M/4 + 1 <= M - K + 1: so the rows
-  of one length share its block spectra. A block's circular outputs at
-  t in [K - 1, M) are linear ones: the sum over the kernel's s <= K - 1
-  reads the block at t - s >= 0, so no term wraps, and it is the linear
-  entry b S + t. Block b gives the entries [b S + K - 1, b S + K - 1 + S),
-  and these tile. The kept entries m_hi + k .. m_hi + n - k - 1 start at
-  K - 1 + k + m_lo, in block 0 as 0 <= k + m_lo <= k <= K - 1 < S
-  (m_lo <= 0 <= m_hi), and end below n (k >= m_hi), so the blocks cover
-  them. A row whose M would reach L = smooth(n), the smallest
-  2^i 3^j 5^k >= n, runs as one block, the whole signal at L: its kept
-  entries lie in [K - 1, n), inside [K - 1, L), and its at most
-  2k + 1 <= n kernel samples fit in L. Either way the interior is the
-  linear result, and differs from cwt_fft's columns only by FFT roundoff.
+result has entries 0 .. n + K - 2 and holds W[i] at entry m_hi + i. Row j
+keeps the columns [k, n - k), 2k < n (k = 0 for cwt_fft and cwt_maxima,
+the cone width for the wavelet variance), the linear entries m_hi + k ..
+m_hi + n - k - 1, by one rule. Let L be the smallest 2^i 3^j 5^k
+>= n + max(0, max(m_hi, -m_lo) - k) and M the smallest power of two
+>= 4K. If M >= L, the row is one block, the whole signal at L: circular
+output t is the linear entry t plus those at t +- L, and for a kept t
+these others lie outside 0 .. n + K - 2, as t < m_hi + n - k <= L and
+t + L >= n + K - 1 (kernel samples s >= L, which the FFT at L drops, meet
+no sample at t < L). Otherwise the row runs in blocks (overlap-save) at
+the step S = 3M/4 + 1 <= M - K + 1 of the signal with P zeros on its
+left: P = S when m_hi + k < K - 1 (k + m_lo < 0, a whole row of a wavelet
+whose support starts below 0), else P = 0. Block b is the padded
+signal's [b S, b S + M), zero past its end, for every b S < n + P, so the
+rows of one M and P share its block spectra. A block's circular outputs
+at t in [K - 1, M) are linear: the sum over the kernel's s <= K - 1 reads
+the block at t - s >= 0, so no term wraps, and it is the padded signal's
+linear entry b S + t. Block b gives the entries [b S + K - 1,
+b S + K - 1 + S), and these tile. The kept entries, moved to
+P + m_hi + k .. P + m_hi + n - k - 1, start at or above K - 1 (with
+P = S as S >= M/4 >= K) and end before the last block's outputs do.
+Either way a kept entry is the linear result, up to FFT roundoff.
 
 The rows run on a thread pool with one worker per CPU the process may use,
 fed in scale order; numpy's FFT releases the GIL, and each row gets the
@@ -268,40 +267,42 @@ def _smooth_length(m: int) -> int:
     return best
 
 
-# outputs a variance row's worker transforms at once: all of a row's
+# outputs a block row's worker transforms at once: all of a variance row's
 # blocks in one call raised a fresh estimate's peak RSS at n = 2^18 from
 # about 66 to 77 MB
 _CHUNK = 1 << 16
 
 
 def _block_plan(size: int, whole: int):
-    """Block length and step of a variance row whose kernel has size
-    samples, on a record of smooth length whole = _smooth_length(n):
-    (M, S) with M the smallest power of two >= 4 size and S = 3M/4 + 1,
-    or (whole, None), one block, when M would reach whole. S depends on
-    M alone, and is <= M - size + 1 for every kernel that gets M."""
+    """Block length and step of a row whose kernel has size samples and
+    whose one block would be whole samples long (L in the module docstring):
+    (M, S) with M the smallest power of two >= 4 size and S = 3M/4 + 1, or
+    (whole, None), one block, when M would reach whole. S depends on M
+    alone, and is <= M - size + 1 for every kernel that gets M."""
     length = 1 << (4 * size - 1).bit_length()
     if length >= whole:
         return whole, None
     return length, 3 * length // 4 + 1
 
 
-def _block_spectra(x: np.ndarray, size: int, step: int, fft) -> list:
-    """fft of the blocks x[b step : b step + size], zero past the end of x,
-    for every block start b step below x.size, one block per row, split
-    into equal chunks of per <= max(1, _CHUNK // step) blocks: chunk i
-    holds blocks i per .. i per + per - 1."""
-    n = x.size
-    count = (n - 1) // step + 1
+def _block_spectra(x: np.ndarray, size: int, step: int, fft,
+                   pad: int) -> list:
+    """fft of the blocks y[b step : b step + size] of y = pad zeros then x,
+    zero past its end, for every block start b step below y.size, one block
+    per row, split into equal chunks of per <= max(1, _CHUNK // step)
+    blocks: chunk i holds blocks i per .. i per + per - 1. y is not made:
+    only a chunk with the pad or past the end of x is copied."""
+    count = (x.size + pad - 1) // step + 1
     chunks = -(-count // max(1, _CHUNK // step))
     per = -(-count // chunks)
     spectra = []
     for b in range(0, count, per):
         e = min(b + per, count)
-        seg = x[b * step:(e - 1) * step + size]
-        if seg.size < (e - b - 1) * step + size:  # blocks past the end
-            seg = np.concatenate(
-                (seg, np.zeros((e - b - 1) * step + size - seg.size)))
+        # the chunk is y[b step : (e - 1) step + size], x from lo to hi
+        lo, hi = b * step - pad, (e - 1) * step + size - pad
+        seg = x[max(lo, 0):hi]
+        if seg.size < hi - lo:  # the pad, or blocks past the end
+            seg = np.pad(seg, (max(-lo, 0), hi - max(lo, 0) - seg.size))
         spectra.append(fft(np.lib.stride_tricks.as_strided(
             seg, (e - b, size), (step * seg.strides[0], seg.strides[0]),
             writeable=False)))
@@ -339,8 +340,9 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=None):
-    """Yield reduce(j, row) for every cwt_fft row j, in scale order.
+def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=0):
+    """Yield reduce(j, row) for every cwt_fft row j, in scale order, cut to
+    its columns [k_j, n - k_j) by the widths cone (one width: every row's).
 
     The calling thread samples each kernel and each new signal spectrum
     (or set of block spectra) in scale order; a pool of one worker per
@@ -355,12 +357,6 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=None):
     stops the pool after at most one more row per worker. The row bits do
     not depend on the worker count: each row runs the same numpy calls on
     the same inputs as a serial loop would.
-
-    With cone, the widths k_j of a cone of influence with 2 k_j < n, row j
-    is only its columns [k_j, n - k_j), run in blocks by _block_plan: the
-    calling thread computes each block length's block spectra once, and
-    the worker fills its row from a chunk of about _CHUNK outputs' blocks
-    at a time (see the module docstring for why that is exact).
     """
     _check_grid(f, w, g)
     x = f.samples
@@ -370,9 +366,9 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=None):
         (np.fft.rfft, np.fft.irfft)
 
     def blocks(c, lo, hi, size, step, spectra, scale):
-        # block b holds the linear entries [b step + edge, (b + 1) step
-        # + edge) at its outputs [edge, edge + step), and the row starts
-        # in block 0
+        # block b holds the padded signal's linear entries [b step + edge,
+        # (b + 1) step + edge) at its outputs [edge, edge + step), and the
+        # row reads the blocks from 0 on
         edge = c.size - 1
         count = (hi - 1 - edge) // step + 1
         spec = fft(c[::-1] * scale, size)
@@ -396,28 +392,27 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=None):
         r = ifft(spectra * fft(c[::-1], size), size)[lo:hi]
         return reduce(j, np.multiply(r, scale, out=r))
 
-    whole = _smooth_length(n)
     workers = min(_cpu_count(), g.n_scales)
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()
         plan, spectra = None, None
-        for j, a in enumerate(g.scales):
+        widths = np.broadcast_to(cone, g.n_scales).tolist()
+        for j, (a, k) in enumerate(zip(g.scales, widths)):
             c, m_lo, m_hi = _kernel(w, a, f.dt, n)
-            if cone is None:
-                k, size, step = 0, _smooth_length(n + max(m_hi, -m_lo)), None
-            else:
-                k = int(cone[j])
-                # the bounds that make the blocks exact
-                assert m_lo <= 0 <= m_hi and max(m_hi, -m_lo) <= k < n - k
-                size, step = _block_plan(c.size, whole)
-            if (size, step) != plan:
-                plan = size, step
+            # the bounds that make the rows exact
+            assert m_lo <= 0 <= m_hi and 0 <= k < n - k
+            size, step = _block_plan(
+                c.size, _smooth_length(n + max(0, max(m_hi, -m_lo) - k)))
+            pad = step if step and k + m_lo < 0 else 0
+            if (size, step, pad) != plan:
+                plan = size, step, pad
                 spectra = fft(x, size) if step is None else \
-                    _block_spectra(x, size, step, fft)
+                    _block_spectra(x, size, step, fft, pad)
             if len(pending) == workers:
                 yield pending.popleft().result()
-            pending.append(pool.submit(row, j, c, m_hi + k, m_hi + n - k,
-                                       size, step, spectra))
+            pending.append(pool.submit(row, j, c, pad + m_hi + k,
+                                       pad + m_hi + n - k, size, step,
+                                       spectra))
         while pending:
             yield pending.popleft().result()
 
@@ -425,17 +420,12 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=None):
 def cwt_fft(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
     """FFT-accelerated CWT, identical contract to cwt_direct.
 
-    Per scale the zero-padded signal spectrum is multiplied by the transfer
-    function of the scaled wavelet (the DFT of the sampled kernel), which is
-    the frequency-domain image of the same rectangle-rule sum. The padded
-    length is L = the smallest 2^i 3^j 5^k >= n + max(m_hi, -m_lo): the
-    linear convolution of the signal with the reversed kernel runs over
-    indices 0 .. n + m_hi - m_lo - 1, and at this L the entries that wrap
-    around land outside the kept slice m_hi .. m_hi + n - 1. L never shrinks
-    as the scales grow, so the signal spectrum is recomputed only when L
-    changes. The rows run on a pool with one worker per usable CPU and come
-    back in scale order; every coefficient has the same bits as in a serial
-    loop.
+    Per scale the spectrum of the signal, whole or in blocks, is multiplied
+    by the transfer function of the scaled wavelet (the DFT of the sampled
+    kernel), which is the frequency-domain image of the same rectangle-rule
+    sum; the module docstring gives the lengths and why they are exact. The
+    rows run on a pool with one worker per usable CPU and come back in
+    scale order; every coefficient has the same bits as in a serial loop.
     """
     dtype = np.complex128 if w.is_complex else np.float64
     out = np.empty((g.n_scales, f.n), dtype=dtype)

@@ -720,12 +720,20 @@ def test_scalogram_tsv_bytes_are_pinned(tmp_path):
 
 # ------------------------------------------- readers against the line loops
 
+def _refuse_undecoded(path, lineno, raw):
+    """The line loops' UTF-8 rule: a line that held a byte which is not
+    UTF-8, decoded to a lone surrogate, is refused, comment or not."""
+    if not raw.isascii() and any("\udc80" <= ch <= "\udcff" for ch in raw):
+        raise InvalidSignalError(f"{path}:{lineno}: not UTF-8 text")
+
+
 def _old_read_signal_csv(path: str) -> TimeSeries:
     """The per-line signal reader the bulk parse replaced: the reference."""
     ts, vs = [], []
     ncols = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            _refuse_undecoded(path, lineno, raw)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -777,8 +785,9 @@ def _old_read_signal_csv(path: str) -> TimeSeries:
 def _old_read_points_csv(path: str) -> np.ndarray:
     """The per-line points reader the bulk parse replaced: the reference."""
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            _refuse_undecoded(path, lineno, raw)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -897,9 +906,43 @@ def test_readers_match_the_line_loops_on_the_corpus(tmp_path, text, chunk):
 
 
 def test_readers_match_the_line_loops_on_undecodable_bytes(tmp_path, chunk):
+    rows = b"".join(b"%d,%d\n" % (k, k) for k in range(2, 5002))
+    for body, message in [
+            (b"0,1\n1,2\xff\n", ":2: not UTF-8 text"),
+            (b"# caf\xe9\n0,1\n1,2\n", ":1: not UTF-8 text"),
+            # an earlier bad line is reported first, in one chunk or not
+            (b"0,1\nabc,2\n" + rows + b"\xff\n", ":2: not numeric: 'abc,2'")]:
+        p = tmp_path / "c.csv"
+        p.write_bytes(body)
+        _assert_readers_agree(str(p))
+        for read in (read_signal_csv, read_points_csv):
+            assert _outcome(read, str(p)) == \
+                (InvalidSignalError, f"{p}{message}")
+
+
+# reads the signal CSV in argv[1] in a fresh interpreter and prints its
+# samples
+_READ_SIGNAL_CHILD = """
+import sys
+import wavekit.io
+
+print(wavekit.io.read_signal_csv(sys.argv[1]).samples.tolist())
+"""
+
+
+def test_the_readers_decode_utf8_under_an_ascii_locale(tmp_path):
+    # with no locale coercion and no UTF-8 mode the C locale's encoding is
+    # ASCII, which cannot decode the comment
     p = tmp_path / "c.csv"
-    p.write_bytes(b"0,1\n1,2\xff\n")
-    _assert_readers_agree(str(p))
+    p.write_bytes("# temp\u00e9rature\n0,1\n1,2\n".encode())
+    src = os.path.dirname(os.path.dirname(wavekit.io.__file__))
+    env = dict(os.environ, PYTHONCOERCECLOCALE="0", LC_ALL="C",
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", _READ_SIGNAL_CHILD, str(p)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "[1.0, 2.0]\n"), done.stderr
 
 
 _FUZZ_CHARS = "0123456789.e+-,#_naif \t\n\r"

@@ -136,20 +136,23 @@ def test_streamed_interior_is_the_direct_interior(w, n):
     assert got.counts[-1] == n - 2 * ((n - 1) // 2)
 
 
-def _assert_rows_are_the_direct_interior(f, w, g):
+def _assert_rows_are_the_direct_interior(f, w, g, widths):
+    """_fft_rows cut to [k, n - k) by widths is cwt_direct's interior, and
+    with the cone of influence the variance is the matrix route's."""
     n, cone = f.n, transform._cone(f, w, g)
     direct = cwt_direct(f, w, g)
-    rows = list(transform._fft_rows(f, w, g, lambda j, row: row, cone))
+    rows = list(transform._fft_rows(f, w, g, lambda j, row: row, widths))
     assert len(rows) == g.n_scales
-    for j, k in enumerate(cone):
+    for j, k in enumerate(widths):
         want = direct.coefficients[j, k:n - k]
         assert rows[j].shape == want.shape and rows[j].dtype == want.dtype
         assert np.abs(rows[j] - want).max() <= 1e-9 * np.abs(want).max()
-    got = wavelet_variance(f, w, g)
-    want = wavelet_autocovariance(direct)
-    assert np.all(np.abs(got.values - want.values)
-                  <= 1e-12 * np.abs(want.values))
-    _assert_same_but_values(got, want)
+    if np.array_equal(widths, cone):
+        got = wavelet_variance(f, w, g)
+        want = wavelet_autocovariance(direct)
+        assert np.all(np.abs(got.values - want.values)
+                      <= 1e-12 * np.abs(want.values))
+        _assert_same_but_values(got, want)
 
 
 @pytest.mark.parametrize("chunk", [1, 1000, transform._CHUNK])
@@ -158,7 +161,8 @@ def _assert_rows_are_the_direct_interior(f, w, g):
 def test_block_rows_are_the_direct_interior(monkeypatch, w, chunk):
     # the rows of block length M run in blocks x[b S : b S + M] at the step
     # S = 3M/4 + 1, a chunk of blocks at a time, and the coarse rows as one
-    # block; chunk 1 transforms one block per call and 1000 a few
+    # block; chunk 1 transforms one block per call and 1000 a few. The
+    # variance's interior rows and whole rows (k = 0) both run this way.
     monkeypatch.setattr(transform, "_CHUNK", chunk)
     n = 5000
     f = TimeSeries(samples=np.random.default_rng(7).standard_normal(n),
@@ -166,15 +170,32 @@ def test_block_rows_are_the_direct_interior(monkeypatch, w, chunk):
     g = _widest_cone_grid(f, w)
     g = ScaleGrid.log_spaced(g.a_min, g.a_max, 4.0)
     cone = transform._cone(f, w, g)
+    whole = np.zeros_like(cone)
+    # per row and widths: the step, k, and where its kept entries start,
+    # k + m_lo past the first valid output of a block of the record
+    plans = {}
+    for name, widths in (("cone", cone), ("whole", whole)):
+        plans[name] = []
+        for a, k in zip(g.scales, widths.tolist()):
+            c, m_lo, m_hi = transform._kernel(w, a, f.dt, n)
+            length = transform._smooth_length(n + max(0, max(m_hi, -m_lo) - k))
+            _, step = transform._block_plan(c.size, length)
+            plans[name].append((step, k, k + m_lo))
     # block rows and one-block rows; block rows of several blocks, whose
     # step does not divide their interior
-    whole = transform._smooth_length(n)
-    plans = [transform._block_plan(transform._kernel(w, a, f.dt, n)[0].size,
-                                   whole) for a in g.scales]
-    assert any(step is None for _, step in plans)
-    assert any(step is not None and (n - 2 * k) // step >= 3
-               and (n - 2 * k) % step for (_, step), k in zip(plans, cone))
-    _assert_rows_are_the_direct_interior(f, w, g)
+    for rows in plans.values():
+        assert any(step is None for step, _, _ in rows)
+        assert any(step is not None and (n - 2 * k) // step >= 3
+                   and (n - 2 * k) % step for step, k, _ in rows)
+    # the variance's block rows start at or past the first valid output and
+    # read no pad; whole rows start before it, so the record gets S zeros
+    # on its left, unless the wavelet's support starts at 0 (Haar), where
+    # they start right at it
+    assert all(start >= 0 for step, _, start in plans["cone"] if step)
+    assert {start < 0 if w.support[0] < 0 else start == 0
+            for step, _, start in plans["whole"] if step} == {True}
+    _assert_rows_are_the_direct_interior(f, w, g, cone)
+    _assert_rows_are_the_direct_interior(f, w, g, whole)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

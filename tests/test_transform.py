@@ -3,6 +3,7 @@ adaptive quadrature of the defining integral, plus grid, cone, scalogram and
 modulus-maxima behaviour."""
 
 import inspect
+import itertools
 import re
 import sys
 import threading
@@ -135,7 +136,14 @@ def test_transform_refuses_a_support_without_zero(monkeypatch, shift):
 # ------------------------------------------------------ rows on a pool
 
 def _serial_cwt_fft(f, w, g):
-    """The one-thread cwt_fft loop, kept as the bit reference for the pool."""
+    """The one-thread cwt_fft loop, kept as the bit reference for the pool.
+
+    Row j runs as one block, the whole signal at L = smooth(n + reach),
+    when M, the smallest power of two >= 4K, reaches L; otherwise it runs
+    in blocks of M samples at the step S = 3M/4 + 1 of the signal with P
+    zeros on its left, P = S if m_lo < 0 else 0, one FFT per block, over
+    the blocks that hold its linear entries P + m_hi .. P + m_hi + n - 1.
+    """
     _check_grid(f, w, g)
     x = f.samples
     n = f.n
@@ -143,31 +151,49 @@ def _serial_cwt_fft(f, w, g):
     fft, ifft = (np.fft.fft, np.fft.ifft) if w.is_complex else \
         (np.fft.rfft, np.fft.irfft)
     out = np.empty((g.n_scales, n), dtype=dtype)
-    size, x_spec = 0, None
     for j, a in enumerate(g.scales):
         c, m_lo, m_hi = _kernel(w, a, f.dt, n)
+        scale = f.dt / np.sqrt(a)
         length = _smooth_length(n + max(m_hi, -m_lo))
-        if length != size:
-            size = length
-            x_spec = fft(x, size)
-        row = ifft(x_spec * fft(c[::-1], size), size)
-        out[j] = row[m_hi:m_hi + n] * (f.dt / np.sqrt(a))
+        size = 1 << (4 * c.size - 1).bit_length()
+        if size >= length:
+            # a named signal spectrum times the fresh kernel spectrum, as in
+            # the pool: the operand order sets the last bit of a product
+            x_spec = fft(x, length)
+            row = ifft(x_spec * fft(c[::-1], length), length)
+            out[j] = row[m_hi:m_hi + n] * scale
+            continue
+        step, edge = 3 * size // 4 + 1, c.size - 1
+        pad = step if m_lo < 0 else 0
+        y = np.concatenate((np.zeros(pad), x, np.zeros(size)))
+        spec = fft(c[::-1] * scale, size)
+        # block b gives the linear entries [b step + edge, (b + 1) step + edge)
+        first = (pad + m_hi - edge) // step
+        last = (pad + m_hi + n - 1 - edge) // step + 1
+        row = np.concatenate([
+            ifft(fft(y[b * step:b * step + size]) * spec,
+                 size)[edge:edge + step] for b in range(first, last)])
+        lo = pad + m_hi - edge - first * step
+        out[j] = row[lo:lo + n]
     return out
 
 
-def _padded_length(f, w, a):
-    _, m_lo, m_hi = _kernel(w, a, f.dt, f.n)
-    return _smooth_length(f.n + max(m_hi, -m_lo))
+def _row_plan(f, w, a):
+    """_block_plan of the whole row at scale a: (M, S), or (L, None)."""
+    c, m_lo, m_hi = _kernel(w, a, f.dt, f.n)
+    return transform._block_plan(
+        c.size, _smooth_length(f.n + max(m_hi, -m_lo)))
 
 
-def _new_length_at_every_scale(f, w):
-    """A grid whose padded FFT length changes from each scale to the next."""
-    scales, last = [], 0
+def _new_plan_at_every_scale(f, w):
+    """A grid whose row plan, so its signal spectra, changes from each
+    scale to the next."""
+    scales, last = [], None
     for a in np.geomspace(2.0 * f.dt, f.n * f.dt, 2000):
-        length = _padded_length(f, w, a)
-        if length != last:
+        plan = _row_plan(f, w, a)
+        if plan != last:
             scales.append(a)
-            last = length
+            last = plan
     return ScaleGrid(scales=np.array(scales))
 
 
@@ -223,9 +249,13 @@ def test_pooled_rows_are_the_serial_bits(w, n, cpus):
 
 @pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
 def test_pooled_rows_are_the_serial_bits_on_long_spectra(w, cpus):
-    """Spectra of 256 KiB and more, which numpy multiplies in place."""
+    """Spectra of 256 KiB and more, which numpy multiplies in place: the
+    coarse rows run as one block of more than 2^15 samples."""
     f = _noise(40000, 6)
-    g = ScaleGrid.log_spaced(2.0 * f.dt, 16.0 * f.dt, 2.0)
+    g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 1.0)
+    plans = [_row_plan(f, w, a) for a in g.scales]
+    assert any(step is None and size >= 1 << 15 for size, step in plans)
+    assert any(step is not None for _, step in plans)
     assert np.array_equal(cwt_fft(f, w, g).coefficients,
                           _serial_cwt_fft(f, w, g))
     _assert_pool_bounds(cpus, g.n_scales)
@@ -234,9 +264,11 @@ def test_pooled_rows_are_the_serial_bits_on_long_spectra(w, cpus):
 @pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
 def test_pooled_rows_match_when_the_fft_length_changes_every_scale(w, cpus):
     f = _noise(300, 5)
-    g = _new_length_at_every_scale(f, w)
-    lengths = [_padded_length(f, w, a) for a in g.scales]
-    assert g.n_scales >= 10 and len(set(lengths)) == g.n_scales
+    g = _new_plan_at_every_scale(f, w)
+    plans = [_row_plan(f, w, a) for a in g.scales]
+    assert g.n_scales >= 10 and len(set(plans)) == g.n_scales
+    assert any(step is None for _, step in plans)
+    assert any(step is not None for _, step in plans)
     assert np.array_equal(cwt_fft(f, w, g).coefficients,
                           _serial_cwt_fft(f, w, g))
     _assert_pool_bounds(cpus, g.n_scales)
@@ -275,12 +307,12 @@ class _TracedHat(MexicanHat):
 
 
 def _pool_grid(f, cone):
-    """The pool tests' grid up to a quarter of the record, or with cone the
-    variance's grid up to a twentieth and its cone widths: every cone is
-    then narrower than n / 2, and the rows run in blocks at the fine scales
-    and as one block at the coarse ones."""
+    """The pool tests' grid up to a quarter of the record and width 0, or
+    with cone the variance's grid up to a twentieth and its cone widths:
+    every cone is then narrower than n / 2, and the rows run in blocks at
+    the fine scales and as one block at the coarse ones."""
     if not cone:
-        return ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0), None
+        return ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0), 0
     g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 20.0, 8.0)
     steps = [step for _, step in _block_plans(f, MexicanHat(), g)]
     assert steps[0] is not None and steps[-1] is None
@@ -473,15 +505,17 @@ def test_block_spectra_are_the_padded_blocks_in_chunks(
         monkeypatch, fft, n, chunk):
     monkeypatch.setattr(transform, "_CHUNK", chunk)
     x = _noise(n, n).samples
-    for size in (4, 16, 256):
+    for size, padded_left in itertools.product((4, 16, 256), (False, True)):
         if size >= n:
             continue
         step = 3 * size // 4 + 1
-        count = (n - 1) // step + 1
+        # the blocks of x with no zeros or step zeros on its left
+        pad = step if padded_left else 0
+        count = (n + pad - 1) // step + 1
         padded = np.zeros((count - 1) * step + size)
-        padded[:n] = x
+        padded[pad:pad + n] = x
         want = [fft(padded[b * step:b * step + size]) for b in range(count)]
-        spectra = transform._block_spectra(x, size, step, fft)
+        spectra = transform._block_spectra(x, size, step, fft, pad)
         # equal chunks of at most max(1, chunk // step) blocks, the last
         # one no longer than the others
         per = spectra[0].shape[0]

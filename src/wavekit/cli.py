@@ -39,6 +39,10 @@ _OUTPUT_FLAGS = ("out", "report", "scalogram", "maxima", "json", "covariance")
 # rasterize's largest image side: points_to_image peaks at about 17 bytes
 # a pixel, so a 4096 x 4096 image takes about 285 MB
 _MAX_IMAGE_SIDE = 4096
+# analyze's and estimate's most scales per octave, eight times the default:
+# it bounds every per-scale array, the maxima and the scalogram's rows by a
+# constant times their size at the default
+_MAX_VOICES = 64
 
 
 def main(argv=None) -> int:
@@ -186,7 +190,7 @@ def _add_transform_flags(sp: argparse.ArgumentParser) -> None:
                     choices=["mexican-hat", "morlet", "haar"])
     sp.add_argument("--omega0", type=float, default=6.0)
     sp.add_argument("--voices", type=int, default=8,
-                    help="scales per octave")
+                    help=f"scales per octave, at most {_MAX_VOICES}")
     sp.add_argument("--a-min", type=float, dest="a_min")
     sp.add_argument("--a-max", type=float, dest="a_max")
 
@@ -198,6 +202,13 @@ def _manifests(args, subcommand: str, params: dict, inputs: list,
                            outputs=tuple(outputs), version=__version__))
     for out in outputs:
         write_json(out + ".manifest.json", m)
+
+
+def _check_voices(args) -> None:
+    """Refuse a --voices above _MAX_VOICES, before anything is read."""
+    if args.voices > _MAX_VOICES:
+        raise ValueError(
+            f"--voices must be at most {_MAX_VOICES}, got {args.voices}")
 
 
 def _grid_for(args, f, default) -> ScaleGrid:
@@ -248,6 +259,7 @@ def _cmd_noise_add(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
+    _check_voices(args)
     f = read_signal_csv(args.input)
     w = by_name(args.wavelet, omega0=args.omega0)
     g = _grid_for(args, f, ScaleGrid.default_for)
@@ -256,8 +268,8 @@ def _cmd_analyze(args) -> None:
                           max_alpha=args.max_alpha)
     require_detection_grid(g.scales)
     # the scalogram is written row by row as the transform makes the rows
-    # (the calling thread formats one row while the pool computes others),
-    # so no path holds the scale x time matrix
+    # (the calling thread formats one row while helper threads compute
+    # others), so no path holds the scale x time matrix
     if args.scalogram:
         with scalogram_tsv(args.scalogram, f.time_axis()) as write:
             maxima = cwt_maxima(f, w, g, lambda j, row: write(
@@ -290,6 +302,7 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_estimate(args) -> None:
+    _check_voices(args)
     f = read_signal_csv(args.input)
     require_estimable(f)
     w = by_name(args.wavelet, omega0=args.omega0)

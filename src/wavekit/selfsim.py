@@ -136,7 +136,7 @@ def wavelet_variance(f: TimeSeries, wavelet: Wavelet,
     """wavelet_autocovariance(cwt_fft(f, wavelet, grid)), streamed.
 
     Only each row's columns outside the cone of influence are computed, by
-    the transform module's one rule for every row. The worker that computed
+    the transform module's one rule for every row. The thread that computed
     each row reduces it to its mean |W|^2, squaring a real row in place, so
     the matrix is never held. The values agree with the matrix route to FFT
     roundoff, within 1e-12 relative per scale, and have the same bits for

@@ -37,19 +37,24 @@ P + m_hi + k .. P + m_hi + n - k - 1, start at or above K - 1 (with
 P = S as S >= M/4 >= K) and end before the last block's outputs do.
 Either way a kept entry is the linear result, up to FFT roundoff.
 
-The rows run on a thread pool with one worker per CPU the process may use,
-fed in scale order; numpy's FFT releases the GIL, and each row gets the
-same bits as in a one-thread loop. Each worker reduces the row it
-computed with a per-row function that writes nothing shared across rows,
-and the calling thread gets the results back in scale order.
+The rows run on one thread per CPU the process may use (at most one per
+scale): the calling thread computes every cpus-th row, and cpus - 1
+helper threads (none on one CPU) compute the others. The calling thread
+plans the rows in scale order and computes the signal spectra; each row
+samples its own kernel on the thread that computes the row, so at most
+cpus rows and their kernels are alive at once. numpy's FFT releases the
+GIL, and each row gets the same bits as in a one-thread loop. The thread
+that computed a row reduces it with a per-row function that writes
+nothing shared across rows, and the calling thread gets the results back
+in scale order.
 
 Modulus maxima are found one row at a time by _row_maxima, which
 modulus_maxima applies to the rows of a computed matrix and cwt_maxima
-runs in the pool as each row is computed, so cwt_maxima never holds the
-scale x time matrix: its memory is O(n) plus the maxima. cwt_maxima can
-also hand each row, in scale order, to a consumer on the calling thread,
-which is how analyze writes its scalogram: analyze holds no CwtMatrix on
-any path. The maxima are chained into lines one pair of adjacent scales
+runs on each row's thread as the row is computed, so cwt_maxima never
+holds the scale x time matrix: its memory is O(n) plus the maxima.
+cwt_maxima can also hand each row, in scale order, to a consumer on the
+calling thread, which is how analyze writes its scalogram: analyze holds
+no CwtMatrix on any path. The maxima are chained into lines one pair of adjacent scales
 at a time, by matching rounds over that pair's candidate links: a
 maximum links down only within the pair below its row and up only within
 the pair above, so the pairs' matchings do not interact. A MaximaSet
@@ -64,7 +69,8 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,16 +242,21 @@ def _check_grid(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> None:
             f"samples at dt = {f.dt:g}, more than float64 holds")
 
 
+def _offsets(w: Wavelet, a: float, dt: float, n: int):
+    """(m_lo, m_hi), the kernel offsets at scale a: they cover the
+    unit-scale support of the wavelet, clipped to |m| <= n - 1 because an
+    n-sample record has no two samples further apart."""
+    lo, hi = w.support
+    return (max(int(np.floor(lo * a / dt)), 1 - n),
+            min(int(np.ceil(hi * a / dt)), n - 1))
+
+
 def _kernel(w: Wavelet, a: float, dt: float, n: int):
     """Sampled, conjugated wavelet at scale a: c_m = conj(psi(m dt / a)).
 
-    Returns (c, m_lo, m_hi) with offsets m = m_lo .. m_hi covering the
-    unit-scale support of the wavelet, clipped to |m| <= n - 1 because an
-    n-sample record has no two samples further apart.
+    Returns (c, m_lo, m_hi) with the offsets m = m_lo .. m_hi of _offsets.
     """
-    lo, hi = w.support
-    m_lo = max(int(np.floor(lo * a / dt)), 1 - n)
-    m_hi = min(int(np.ceil(hi * a / dt)), n - 1)
+    m_lo, m_hi = _offsets(w, a, dt, n)
     c = w.psi(np.arange(m_lo, m_hi + 1) * dt / a)
     # conj copies even a real array
     return (np.conj(c) if w.is_complex else c), m_lo, m_hi
@@ -267,7 +278,7 @@ def _smooth_length(m: int) -> int:
     return best
 
 
-# outputs a block row's worker transforms at once: all of a variance row's
+# outputs a block row's thread transforms at once: all of a variance row's
 # blocks in one call raised a fresh estimate's peak RSS at n = 2^18 from
 # about 66 to 77 MB
 _CHUNK = 1 << 16
@@ -344,19 +355,24 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=0):
     """Yield reduce(j, row) for every cwt_fft row j, in scale order, cut to
     its columns [k_j, n - k_j) by the widths cone (one width: every row's).
 
-    The calling thread samples each kernel and each new signal spectrum
-    (or set of block spectra) in scale order; a pool of one worker per
-    usable CPU (at most one per scale) runs the kernel FFT, the product,
-    the inverse FFT and the scaling, then reduce(j, row) on the row it
-    computed, an array nothing else holds, which reduce may overwrite; the
-    job keeps only reduce's result, which may be the row itself. The jobs
-    are collected in the order they were submitted, so the results come in
-    scale order with no reorder buffer. At most one job per worker is in
-    flight: an exception in a job is raised here once the pool has
-    stopped, and a caller that stops iterating (or closes the generator)
-    stops the pool after at most one more row per worker. The row bits do
-    not depend on the worker count: each row runs the same numpy calls on
-    the same inputs as a serial loop would.
+    The calling thread plans the rows in scale order: it takes each row's
+    kernel offsets from _offsets and computes each new signal spectrum (or
+    set of block spectra). The rows run on workers = min(usable CPUs,
+    n_scales) threads: the calling thread computes every workers-th row
+    itself, and a pool of workers - 1 helper threads computes the others
+    (no pool on one CPU). A row's job samples its kernel, runs the kernel
+    FFT, the product, the inverse FFT and the scaling, then reduce(j, row)
+    on the row it computed, an array nothing else holds, which reduce may
+    overwrite; the job keeps only reduce's result, which may be the row
+    itself. The jobs are collected in the order they were made, so the
+    results come in scale order with no reorder buffer. At most workers
+    jobs are made and not yet collected, the calling thread's included, so
+    at most workers rows and their kernels are alive at once. An exception
+    in a job is raised here once the pool has stopped, and a caller that
+    stops iterating (or closes the generator) stops the pool after at most
+    workers - 1 more rows. The row bits do not depend on the worker count:
+    each row runs the same numpy calls on the same inputs as a serial loop
+    would.
     """
     _check_grid(f, w, g)
     x = f.samples
@@ -380,7 +396,8 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=0):
                             size)[:, edge:edge + step]
         return out.reshape(-1)[lo - edge:hi - edge]
 
-    def row(j, c, lo, hi, size, step, spectra):
+    def row(j, lo, hi, size, step, spectra):
+        c = _kernel(w, g.scales[j], f.dt, n)[0]
         scale = f.dt / np.sqrt(g.scales[j])
         if step is not None:
             return reduce(j, blocks(c, lo, hi, size, step, spectra, scale))
@@ -393,16 +410,18 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=0):
         return reduce(j, np.multiply(r, scale, out=r))
 
     workers = min(_cpu_count(), g.n_scales)
-    with ThreadPoolExecutor(workers) as pool:
+    with (ThreadPoolExecutor(workers - 1) if workers > 1 else
+          nullcontext()) as pool:
         pending = deque()
         plan, spectra = None, None
         widths = np.broadcast_to(cone, g.n_scales).tolist()
         for j, (a, k) in enumerate(zip(g.scales, widths)):
-            c, m_lo, m_hi = _kernel(w, a, f.dt, n)
+            m_lo, m_hi = _offsets(w, a, f.dt, n)
             # the bounds that make the rows exact
             assert m_lo <= 0 <= m_hi and 0 <= k < n - k
             size, step = _block_plan(
-                c.size, _smooth_length(n + max(0, max(m_hi, -m_lo) - k)))
+                m_hi - m_lo + 1,
+                _smooth_length(n + max(0, max(m_hi, -m_lo) - k)))
             pad = step if step and k + m_lo < 0 else 0
             if (size, step, pad) != plan:
                 plan = size, step, pad
@@ -410,9 +429,13 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=0):
                     _block_spectra(x, size, step, fft, pad)
             if len(pending) == workers:
                 yield pending.popleft().result()
-            pending.append(pool.submit(row, j, c, pad + m_hi + k,
-                                       pad + m_hi + n - k, size, step,
-                                       spectra))
+            job = (j, pad + m_hi + k, pad + m_hi + n - k, size, step, spectra)
+            if j % workers < workers - 1:
+                pending.append(pool.submit(row, *job))
+            else:
+                done = Future()
+                done.set_result(row(*job))
+                pending.append(done)
         while pending:
             yield pending.popleft().result()
 
@@ -424,8 +447,9 @@ def cwt_fft(f: TimeSeries, w: Wavelet, g: ScaleGrid) -> CwtMatrix:
     by the transfer function of the scaled wavelet (the DFT of the sampled
     kernel), which is the frequency-domain image of the same rectangle-rule
     sum; the module docstring gives the lengths and why they are exact. The
-    rows run on a pool with one worker per usable CPU and come back in
-    scale order; every coefficient has the same bits as in a serial loop.
+    rows run on the calling thread and one helper thread per further usable
+    CPU and come back in scale order; every coefficient has the same bits
+    as in a serial loop.
     """
     dtype = np.complex128 if w.is_complex else np.float64
     out = np.empty((g.n_scales, f.n), dtype=dtype)
@@ -593,12 +617,14 @@ def cwt_maxima(f: TimeSeries, w: Wavelet, g: ScaleGrid,
                consume=None) -> MaximaSet:
     """modulus_maxima(cwt_fft(f, w, g)), streamed.
 
-    Each cwt_fft row is searched for its maxima in the worker that computed
-    it and then dropped, so the scale x time matrix is never held: memory
-    is O(n) plus the maxima. The result is the same to the bit. With
-    consume, the workers also hand back each row, and the calling thread
-    calls consume(j, row) with it in scale order while the transform runs;
-    this is how a scalogram is written without the matrix.
+    Each cwt_fft row is searched for its maxima on the thread that computed
+    it, the calling thread or one of cpus - 1 helpers, and then dropped, so
+    the scale x time matrix is never held: at most cpus rows and their
+    kernels are alive at once, and memory is O(n) per CPU plus the maxima.
+    The result is the same to the bit. With consume, each row's job also
+    hands back the row, and the calling thread calls consume(j, row) with
+    it in scale order while the transform runs; this is how a scalogram
+    is written without the matrix.
     """
     if consume is None:
         peaks = list(_fft_rows(f, w, g, _row_maxima))

@@ -546,12 +546,16 @@ _REFUSED = [
     ("estimate", "--a-max=inf", 2, "a_max / a_min must be finite"),
     ("analyze", "--voices=0", 2, "voices per octave must be positive"),
     ("estimate", "--voices=-1", 2, "voices per octave must be positive"),
-    # scale counts whose allocation numpy refuses at once: as bytes, and
-    # past its index range
-    ("analyze", "--voices=1000000000000000", 2, "more than can be allocated"),
+    # scale counts whose allocation numpy would refuse at once, as bytes
+    # and past its index range, now meet the CLI's ceiling first
+    ("analyze", "--voices=1000000000000000", 2,
+     "--voices must be at most 64"),
     ("analyze", "--voices=100000000000000000000", 2,
-     "more than can be allocated"),
-    ("estimate", "--voices=1000000000000000", 2, "more than can be allocated"),
+     "--voices must be at most 64"),
+    ("estimate", "--voices=1000000000000000", 2,
+     "--voices must be at most 64"),
+    ("analyze", "--voices=65", 2, "--voices must be at most 64, got 65"),
+    ("estimate", "--voices=65", 2, "--voices must be at most 64, got 65"),
     # the chirp's dt is 1/1023, so 2 dt is about 0.00196
     ("analyze", "--a-min=0.001", 4, "is below 2*dt"),
     ("analyze", "--a-max=0.0025", 4, "scales is too coarse a grid"),
@@ -576,6 +580,21 @@ def test_out_of_range_grid_and_wavelet_are_invalid_input(
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "estimate"])
+def test_voices_run_up_to_64_and_more_are_refused_before_the_input_is_read(
+        tmp_path, capsys, sweep_inputs, command):
+    to = "--report" if command == "analyze" else "--json"
+    assert main([command, sweep_inputs[command], "--voices=64", to,
+                 str(tmp_path / "out.json")]) == 0
+    # a missing input would exit 3 if it were read first
+    missing = str(tmp_path / "missing.csv")
+    assert main([command, missing, "--voices=65", to,
+                 str(tmp_path / "refused.json")]) == 2
+    assert "--voices must be at most 64, got 65" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["out.json",
+                                            "out.json.manifest.json"]
 
 
 @pytest.mark.parametrize("command", ["analyze", "estimate"])

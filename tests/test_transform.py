@@ -45,6 +45,15 @@ def test_log_spaced_grid_geometry():
     assert np.allclose(ratios, 2.0 ** 0.25, rtol=1e-12)
 
 
+@pytest.mark.parametrize("voices", [1e15, 1e20])
+def test_log_spaced_refuses_a_scale_count_it_cannot_allocate(voices):
+    # 7 octaves at 1e15 voices are 7e15 scales, 56 PB; at 1e20 the count
+    # is past numpy's index range. The CLI caps --voices at 64, but a
+    # library caller may still ask for this many.
+    with pytest.raises(ValueError, match="more than can be allocated"):
+        ScaleGrid.log_spaced(1.0, 128.0, voices)
+
+
 def test_with_count_grid():
     g = ScaleGrid.with_count(0.5, 2.0, 9)
     assert g.n_scales == 9
@@ -198,29 +207,14 @@ def _new_plan_at_every_scale(f, w):
 
 
 class _CountingPool(ThreadPoolExecutor):
-    """Records its size and the most rows it ever ran at once."""
+    """Records the helper threads it was made with."""
 
     made = []
 
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.workers, self.running, self.peak = workers, 0, 0
-        self._lock = threading.Lock()
+    def __init__(self, helpers):
+        super().__init__(helpers)
+        self.helpers = helpers
         _CountingPool.made.append(self)
-
-    def submit(self, fn, *args):
-        with self._lock:
-            self.running += 1
-            self.peak = max(self.peak, self.running)
-
-        def run():
-            try:
-                return fn(*args)
-            finally:
-                with self._lock:
-                    self.running -= 1
-
-        return super().submit(run)
 
 
 @pytest.fixture(params=[1, 2, 3, 7], ids=lambda k: f"cpus{k}")
@@ -231,10 +225,47 @@ def cpus(request, monkeypatch):
     return request.param
 
 
-def _assert_pool_bounds(cpus, n_scales):
-    (pool,) = _CountingPool.made
-    assert pool.workers == min(cpus, n_scales)
-    assert 1 <= pool.peak <= pool.workers
+class _RowCounter:
+    """Counts the rows computing at once, from their kernel to the end of
+    their reduction, and the threads that reduced them."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.running = self.peak = self.rows = 0
+        self.threads = set()
+
+    def kernel(self, *args):
+        with self.lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        return _kernel(*args)
+
+    def reduce(self, j, row):
+        with self.lock:
+            self.running -= 1
+            self.rows += 1
+            self.threads.add(threading.get_ident())
+
+
+def _assert_pool_bounds(cpus, f, w, g, widths=0):
+    """The run just made built a pool of min(cpus, n_scales) - 1 helper
+    threads, or none for one; and so does one more run of the rows, in
+    which at most min(cpus, n_scales) rows compute at once, the calling
+    thread's included, and the calling thread computes some."""
+    workers = min(cpus, g.n_scales)
+    helpers = [workers - 1] if workers > 1 else []
+    assert [pool.helpers for pool in _CountingPool.made] == helpers
+    _CountingPool.made.clear()
+    count = _RowCounter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform, "_kernel", count.kernel)
+        for _ in _fft_rows(f, w, g, count.reduce, widths):
+            pass
+    assert [pool.helpers for pool in _CountingPool.made] == helpers
+    assert count.rows == g.n_scales
+    assert 1 <= count.peak <= workers
+    assert threading.get_ident() in count.threads
+    assert len(count.threads) <= workers
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 300, 2000])
@@ -244,7 +275,7 @@ def test_pooled_rows_are_the_serial_bits(w, n, cpus):
     g = ScaleGrid.log_spaced(2.0 * f.dt, n * f.dt, 8.0)
     got = cwt_fft(f, w, g).coefficients
     assert np.array_equal(got, _serial_cwt_fft(f, w, g))
-    _assert_pool_bounds(cpus, g.n_scales)
+    _assert_pool_bounds(cpus, f, w, g)
 
 
 @pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
@@ -258,7 +289,7 @@ def test_pooled_rows_are_the_serial_bits_on_long_spectra(w, cpus):
     assert any(step is not None for _, step in plans)
     assert np.array_equal(cwt_fft(f, w, g).coefficients,
                           _serial_cwt_fft(f, w, g))
-    _assert_pool_bounds(cpus, g.n_scales)
+    _assert_pool_bounds(cpus, f, w, g)
 
 
 @pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
@@ -271,36 +302,37 @@ def test_pooled_rows_match_when_the_fft_length_changes_every_scale(w, cpus):
     assert any(step is not None for _, step in plans)
     assert np.array_equal(cwt_fft(f, w, g).coefficients,
                           _serial_cwt_fft(f, w, g))
-    _assert_pool_bounds(cpus, g.n_scales)
+    _assert_pool_bounds(cpus, f, w, g)
 
 
 @pytest.mark.parametrize("w", WAVELETS, ids=lambda w: w.name)
 def test_consumed_rows_come_in_scale_order_on_the_calling_thread(w, cpus):
     f = _noise(2000, 7)
     g = ScaleGrid.log_spaced(2.0 * f.dt, f.n * f.dt / 4.0, 8.0)
-    # each worker reduces its own row; the results reach the caller in
-    # scale order, on the thread that iterates
+    # each thread reduces the row it computed, on at most one thread per
+    # CPU; the results reach the caller in scale order, on the thread that
+    # iterates
     got = []
     for j, worker, row in _fft_rows(
             f, w, g, lambda j, row: (j, threading.get_ident(), row)):
         got.append((j, threading.get_ident(), worker, row))
     assert [j for j, _, _, _ in got] == list(range(g.n_scales))
     assert {t for _, t, _, _ in got} == {threading.get_ident()}
-    assert threading.get_ident() not in {t for _, _, t, _ in got}
+    assert len({t for _, _, t, _ in got}) <= min(cpus, g.n_scales)
     assert np.array_equal(np.array([row for _, _, _, row in got]),
                           _serial_cwt_fft(f, w, g))
-    _assert_pool_bounds(cpus, g.n_scales)
+    _assert_pool_bounds(cpus, f, w, g)
 
 
 class _TracedHat(MexicanHat):
-    """A Mexican hat that records which threads sample it."""
+    """A Mexican hat that lists the thread of each call that samples it."""
 
     def __init__(self, threads, fail_at=None):
         object.__setattr__(self, "threads", threads)
         object.__setattr__(self, "fail_at", fail_at)
 
     def psi(self, t):
-        self.threads.add(threading.get_ident())
+        self.threads.append(threading.get_ident())
         if self.fail_at is not None and np.size(t) >= self.fail_at:
             raise RuntimeError("kernel failed")
         return super().psi(t)
@@ -326,29 +358,66 @@ def _block_plans(f, w, g):
             for a in g.scales]
 
 
-def _assert_kernels_sampled_in_the_calling_thread(cone):
-    threads = set()
+def _assert_kernels_sampled_where_their_rows_are_reduced(cone):
+    psi, sampled = [], {}
     f = _noise(2000, 3)
     g, widths = _pool_grid(f, cone)
-    reduced = list(_fft_rows(f, _TracedHat(threads), g,
-                             lambda j, row: threading.get_ident(), widths))
-    assert threads == {threading.get_ident()}
-    assert len(reduced) == g.n_scales
+
+    def kernel(w, a, dt, n):
+        sampled[float(a)] = threading.get_ident()
+        return _kernel(w, a, dt, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform, "_kernel", kernel)
+        reduced = list(_fft_rows(f, _TracedHat(psi), g,
+                                 lambda j, row: threading.get_ident(),
+                                 widths))
+    # one kernel per row, each on the thread that reduced the row
+    assert reduced == [sampled[a] for a in g.scales.tolist()]
+    assert sorted(psi) == sorted(reduced)
 
 
-def test_kernels_are_sampled_in_the_calling_thread(cpus):
-    _assert_kernels_sampled_in_the_calling_thread(cone=False)
+def test_kernels_are_sampled_where_their_rows_are_reduced(cpus):
+    _assert_kernels_sampled_where_their_rows_are_reduced(cone=False)
 
 
-def test_variance_kernels_are_sampled_in_the_calling_thread(cpus):
-    _assert_kernels_sampled_in_the_calling_thread(cone=True)
+def test_variance_kernels_are_sampled_where_their_rows_are_reduced(cpus):
+    _assert_kernels_sampled_where_their_rows_are_reduced(cone=True)
+
+
+@pytest.mark.parametrize("cpus, n_scales", [(1, 9), (7, 1)])
+def test_one_worker_makes_no_pool_and_starts_no_thread(monkeypatch, cpus,
+                                                       n_scales):
+    """On one CPU, or for one scale, the calling thread computes every row
+    itself: no executor is made and no thread is started."""
+    def no_pool(*args):
+        raise AssertionError("a thread pool was made")
+
+    monkeypatch.setattr(transform, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(transform, "ThreadPoolExecutor", no_pool)
+    before = threading.enumerate()
+    f = _noise(2000, 9)
+    g = ScaleGrid.with_count(2.0 * f.dt, f.n * f.dt / 20.0, n_scales)
+    seen = []
+
+    def reduce(j, row):
+        seen.append((threading.get_ident(), threading.enumerate()))
+
+    for widths in (0, transform._cone(f, MexicanHat(), g)):
+        assert len(list(_fft_rows(f, MexicanHat(), g, reduce, widths))) \
+            == n_scales
+    assert seen == [(threading.get_ident(), before)] * (2 * n_scales)
+    cwt_fft(f, Morlet(), g)
+    cwt_maxima(f, Haar(), g, lambda j, row: None)
+    wavelet_variance(f, MexicanHat(), g)
+    assert threading.enumerate() == before
 
 
 def test_variance_rows_are_the_one_worker_bits(cpus, monkeypatch):
     f = _noise(2000, 8)
     g, widths = _pool_grid(f, cone=True)
     got = list(_fft_rows(f, MexicanHat(), g, lambda j, row: row, widths))
-    _assert_pool_bounds(cpus, g.n_scales)
+    _assert_pool_bounds(cpus, f, MexicanHat(), g, widths)
     monkeypatch.setattr(transform, "_cpu_count", lambda: 1)
     want = list(_fft_rows(f, MexicanHat(), g, lambda j, row: row, widths))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -376,7 +445,7 @@ def test_failures_reach_the_caller_and_stop_the_pool(cpus, where):
         bad = steps.index(None) - 1
     w, reduce, message = MexicanHat(), _fail_in_row(bad), f"row {bad} failed"
     if where.startswith("kernel"):
-        w, reduce, message = _TracedHat(set(), fail_at=100), \
+        w, reduce, message = _TracedHat([], fail_at=100), \
             lambda j, row: None, "kernel failed"
     with pytest.raises(RuntimeError, match=message):
         if where == "consumer":
@@ -388,13 +457,14 @@ def test_failures_reach_the_caller_and_stop_the_pool(cpus, where):
 
 
 class _CountedHat(MexicanHat):
-    """A Mexican hat that counts its kernels, sampled one per row."""
+    """A Mexican hat that lists its kernels, sampled one per row on the
+    row's thread; list.append is atomic, so no count is lost."""
 
     def __init__(self):
-        object.__setattr__(self, "kernels", 0)
+        object.__setattr__(self, "kernels", [])
 
     def psi(self, t):
-        object.__setattr__(self, "kernels", self.kernels + 1)
+        self.kernels.append(np.size(t))
         return super().psi(t)
 
 
@@ -414,10 +484,10 @@ def test_a_caller_that_stops_early_stops_the_pool(cpus, stop):
             cwt_maxima(f, w, g, _fail_in_row(last))
     assert not [t for t in threading.enumerate()
                 if t not in before and t.is_alive()]
-    # the calling thread sampled kernels for rows 0 .. last, which reached
-    # it, and for at most one more row per worker
+    # kernels were sampled for rows 0 .. last, which reached the caller,
+    # and for at most min(cpus, n_scales) - 1 more rows
     assert g.n_scales > last + 1 + cpus
-    assert last + 1 <= w.kernels <= last + 1 + cpus
+    assert last + 1 <= len(w.kernels) <= last + 1 + cpus
 
 
 # ------------------------------------------------- agreement and the oracle
@@ -1014,11 +1084,10 @@ def test_streamed_maxima_are_the_matrix_route_bits(w, n, cpus):
     matrix = CwtMatrix(coefficients=c, scales=g.scales, times=f.time_axis(),
                        cone_of_influence=transform._cone(f, w, g), dt=f.dt,
                        wavelet=w)
-    _CountingPool.made.clear()
     want = modulus_maxima(matrix)
     rows = []
     got = cwt_maxima(f, w, g, lambda j, row: rows.append(row))
-    _assert_pool_bounds(cpus, g.n_scales)
+    _assert_pool_bounds(cpus, f, w, g)
     # the rows a consumer sees are the matrix's rows, in scale order
     assert np.array_equal(np.array(rows), c)
     for name in ("time_idx", "scale_idx", "values", "line_points",
@@ -1032,8 +1101,9 @@ def test_streamed_maxima_are_the_matrix_route_bits(w, n, cpus):
 
 
 def test_streamed_maxima_survive_thread_switches_in_every_row(monkeypatch):
-    # seven workers on 97 rows with a switch interval of 1 us: the workers
-    # reduce rows out of order and interleaved, and none may be lost
+    # seven threads (six helpers and the calling thread) on 97 rows with a
+    # switch interval of 1 us: the threads reduce rows out of order and
+    # interleaved, and none may be lost
     monkeypatch.setattr(transform, "_cpu_count", lambda: 7)
     f = _noise(3000, 11)
     g = ScaleGrid.log_spaced(2.0 * f.dt, 8.0 * f.dt, 48.0)

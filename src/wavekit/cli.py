@@ -3,7 +3,10 @@
 Subcommands: gen (synthetic signals and point clouds), analyze (transform,
 maxima, singularity report), estimate (scaling exponents), rasterize (point
 cloud to PGM). Every output file gets a sibling <name>.manifest.json whose
-argv replays the invocation byte for byte.
+argv replays the invocation byte for byte. _run writes the manifests of
+every subcommand from the parsed options, after the handler has written
+the outputs: params holds every option other than the file names, with
+the scale range that analyze and estimate resolved in place of the flags.
 
 Exit codes: 0 ok, 2 invalid input, parameters or allocation size, 3 I/O
 failure, 4 incompatible scale grid, 5 degenerate estimation: each toolkit
@@ -36,6 +39,10 @@ from .wavelets import by_name
 
 # the flags that name output files; each output has a <name>.manifest.json
 _OUTPUT_FLAGS = ("out", "report", "scalogram", "maxima", "json", "covariance")
+# the parsed values a manifest records elsewhere or not at all; the rest
+# are its params
+_NOT_PARAMS = {"command", "kind", "handler", "maker", "_argv", "input",
+               *_OUTPUT_FLAGS}
 # rasterize's largest image side: points_to_image peaks at about 17 bytes
 # a pixel, so a 4096 x 4096 image takes about 285 MB
 _MAX_IMAGE_SIDE = 4096
@@ -61,18 +68,45 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    """Run the handler, write the manifests, then print the warnings and
+    the summary the handler returned, so a run that fails prints no line
+    for a file it removes."""
     try:
-        args.handler(args)
+        summary, warnings = args.handler(args)
+        _manifests(args)
     except (WavekitError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, OSError) else getattr(exc, "exit_code", 2)
+    for note in warnings:
+        print(f"warning: {note}", file=sys.stderr)
+    print(summary)
     return 0
 
 
-def _output_paths(args) -> list:
+def _outputs(args) -> list:
+    """The output file names given, in _OUTPUT_FLAGS order."""
     names = [getattr(args, flag, None) for flag in _OUTPUT_FLAGS]
-    return [name + suffix for name in names if name
+    return [name for name in names if name]
+
+
+def _output_paths(args) -> list:
+    return [name + suffix for name in _outputs(args)
             for suffix in ("", ".manifest.json")]
+
+
+def _manifests(args) -> None:
+    """Write <name>.manifest.json beside each output: the subcommand, the
+    input if it takes one, and every other parsed value as params."""
+    outputs = _outputs(args)
+    m = asdict(RunManifest(
+        subcommand=" ".join(filter(None, [args.command,
+                                          getattr(args, "kind", None)])),
+        argv=tuple(args._argv),
+        params={k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
+        inputs=(args.input,) if hasattr(args, "input") else (),
+        outputs=tuple(outputs), version=__version__))
+    for out in outputs:
+        write_json(out + ".manifest.json", m)
 
 
 def _file_id(path: str):
@@ -112,19 +146,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate synthetic data")
     gsub = gen.add_subparsers(dest="kind", required=True)
 
-    g = gsub.add_parser("chirp-jump", help="chirp + step + cusp test signal")
-    g.add_argument("--n", type=int, default=1024)
-    g.add_argument("--sigma", type=float, default=0.0)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out", required=True)
-    g.set_defaults(handler=_cmd_gen_signal, maker=gen_chirp_jump)
-
-    g = gsub.add_parser("eq11", help="sine + cusp + step test signal")
-    g.add_argument("--n", type=int, default=1024)
-    g.add_argument("--sigma", type=float, default=0.0)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out", required=True)
-    g.set_defaults(handler=_cmd_gen_signal, maker=gen_eq11)
+    for kind, maker, text in [
+            ("chirp-jump", gen_chirp_jump, "chirp + step + cusp test signal"),
+            ("eq11", gen_eq11, "sine + cusp + step test signal")]:
+        g = gsub.add_parser(kind, help=text)
+        g.add_argument("--n", type=int, default=1024)
+        g.add_argument("--sigma", type=float, default=0.0)
+        g.add_argument("--seed", type=int)
+        g.add_argument("--out", required=True)
+        g.set_defaults(handler=_cmd_gen_signal, maker=maker)
 
     g = gsub.add_parser("fbm", help="fractional Brownian motion")
     g.add_argument("--n", type=int, default=4096)
@@ -195,15 +225,6 @@ def _add_transform_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--a-max", type=float, dest="a_max")
 
 
-def _manifests(args, subcommand: str, params: dict, inputs: list,
-               outputs: list) -> None:
-    m = asdict(RunManifest(subcommand=subcommand, argv=tuple(args._argv),
-                           params=params, inputs=tuple(inputs),
-                           outputs=tuple(outputs), version=__version__))
-    for out in outputs:
-        write_json(out + ".manifest.json", m)
-
-
 def _check_voices(args) -> None:
     """Refuse a --voices above _MAX_VOICES, before anything is read."""
     if args.voices > _MAX_VOICES:
@@ -212,53 +233,48 @@ def _check_voices(args) -> None:
 
 
 def _grid_for(args, f, default) -> ScaleGrid:
-    base = default(f, args.voices)
-    if args.a_min is None and args.a_max is None:
-        return base
-    return ScaleGrid.log_spaced(base.a_min if args.a_min is None else args.a_min,
-                                base.a_max if args.a_max is None else args.a_max,
-                                args.voices)
+    """The grid of the run; its range goes back into args, so the manifest
+    records the scales used, not the flags."""
+    g = default(f, args.voices)
+    if args.a_min is not None or args.a_max is not None:
+        g = ScaleGrid.log_spaced(g.a_min if args.a_min is None else args.a_min,
+                                 g.a_max if args.a_max is None else args.a_max,
+                                 args.voices)
+    args.a_min, args.a_max = g.a_min, g.a_max
+    return g
 
 
 # ------------------------------------------------------------- handlers
+# each reads, computes and writes its outputs, and returns its summary and
+# its warnings; _run writes the manifests and prints both
 
-def _cmd_gen_signal(args) -> None:
+def _cmd_gen_signal(args) -> tuple:
     f = args.maker(n=args.n, sigma=args.sigma, seed=args.seed)
     write_signal_csv(args.out, f)
-    params = {"n": args.n, "sigma": args.sigma, "seed": args.seed}
-    _manifests(args, f"gen {args.kind}", params, [], [args.out])
-    print(f"wrote {args.out} ({f.n} samples)")
+    return f"wrote {args.out} ({f.n} samples)", ()
 
 
-def _cmd_gen_fbm(args) -> None:
+def _cmd_gen_fbm(args) -> tuple:
     f = gen_fbm(hurst=args.hurst, n=args.n, seed=args.seed, dt=args.dt)
     write_signal_csv(args.out, f)
-    params = {"n": args.n, "hurst": args.hurst, "seed": args.seed,
-              "dt": args.dt}
-    _manifests(args, "gen fbm", params, [], [args.out])
-    print(f"wrote {args.out} ({f.n} samples)")
+    return f"wrote {args.out} ({f.n} samples)", ()
 
 
-def _cmd_gen_ifs(args) -> None:
+def _cmd_gen_ifs(args) -> tuple:
     model = barnsley_tree_model()
     cloud = chaos_game(model, n=args.n, seed=args.seed, burn_in=args.burn_in)
     write_points_csv(args.out, cloud.points)
-    params = {"model": args.model, "n": args.n, "seed": args.seed,
-              "burn_in": args.burn_in}
-    _manifests(args, "gen ifs", params, [], [args.out])
-    print(f"wrote {args.out} ({args.n} points)")
+    return f"wrote {args.out} ({args.n} points)", ()
 
 
-def _cmd_noise_add(args) -> None:
+def _cmd_noise_add(args) -> tuple:
     f = read_signal_csv(args.input)
     noisy = add_noise(f, NoiseSpec(sigma=args.sigma, seed=args.seed))
     write_signal_csv(args.out, noisy)
-    params = {"sigma": args.sigma, "seed": args.seed}
-    _manifests(args, "gen noise-add", params, [args.input], [args.out])
-    print(f"wrote {args.out} ({noisy.n} samples)")
+    return f"wrote {args.out} ({noisy.n} samples)", ()
 
 
-def _cmd_analyze(args) -> None:
+def _cmd_analyze(args) -> tuple:
     _check_voices(args)
     f = read_signal_csv(args.input)
     w = by_name(args.wavelet, omega0=args.omega0)
@@ -277,31 +293,18 @@ def _cmd_analyze(args) -> None:
     else:
         maxima = cwt_maxima(f, w, g)
     report = detect_from_maxima(maxima, cfg)
-
-    outputs = []
     if args.report:
         write_json(args.report, asdict(report))
-        outputs.append(args.report)
-    if args.scalogram:
-        outputs.append(args.scalogram)
     if args.maxima:
         write_maxima_tsv(args.maxima, maxima)
-        outputs.append(args.maxima)
-
-    params = {"wavelet": args.wavelet, "omega0": args.omega0,
-              "voices": args.voices, "a_min": g.a_min, "a_max": g.a_max,
-              "threshold": args.threshold, "persistence": args.persistence,
-              "max_alpha": args.max_alpha}
-    _manifests(args, "analyze", params, [args.input], outputs)
-
-    print(f"{len(report.events)} events "
-          f"(sigma_hat={report.sigma_hat:.6g}, lines={report.n_lines})")
-    for e in report.events:
-        print(f"  {e.kind} at b={e.location:.6g} alpha={e.alpha:.4g} "
-              f"strength={e.strength:.6g}")
+    return "\n".join(
+        [f"{len(report.events)} events "
+         f"(sigma_hat={report.sigma_hat:.6g}, lines={report.n_lines})"]
+        + [f"  {e.kind} at b={e.location:.6g} alpha={e.alpha:.4g} "
+           f"strength={e.strength:.6g}" for e in report.events]), ()
 
 
-def _cmd_estimate(args) -> None:
+def _cmd_estimate(args) -> tuple:
     _check_voices(args)
     f = read_signal_csv(args.input)
     require_estimable(f)
@@ -312,23 +315,14 @@ def _cmd_estimate(args) -> None:
     est = fit_power_law(r)
 
     write_json(args.json, asdict(est))
-    outputs = [args.json]
     if args.covariance:
         write_covariance_tsv(args.covariance, r)
-        outputs.append(args.covariance)
-
-    params = {"wavelet": args.wavelet, "omega0": args.omega0,
-              "voices": args.voices, "a_min": g.a_min, "a_max": g.a_max}
-    _manifests(args, "estimate", params, [args.input], outputs)
-
-    for note in est.warnings:
-        print(f"warning: {note}", file=sys.stderr)
-    print(f"beta={est.beta:.6g} hurst={est.hurst:.6g} "
-          f"dimension={est.dimension:.6g} r2={est.r_squared:.6g} "
-          f"({est.classification})")
+    return (f"beta={est.beta:.6g} hurst={est.hurst:.6g} "
+            f"dimension={est.dimension:.6g} r2={est.r_squared:.6g} "
+            f"({est.classification})"), est.warnings
 
 
-def _cmd_rasterize(args) -> None:
+def _cmd_rasterize(args) -> tuple:
     if args.width < 16 or args.height < 16:
         raise ValueError(
             f"image must be at least 16x16, got {args.width}x{args.height}")
@@ -340,10 +334,7 @@ def _cmd_rasterize(args) -> None:
     bbox = tuple(args.bbox) if args.bbox else None
     img = points_to_image(pts, args.width, args.height, bbox)
     write_pgm(args.out, img)
-    params = {"width": args.width, "height": args.height,
-              "bbox": list(args.bbox) if args.bbox else None}
-    _manifests(args, "rasterize", params, [args.input], [args.out])
-    print(f"wrote {args.out} ({args.width}x{args.height})")
+    return f"wrote {args.out} ({args.width}x{args.height})", ()
 
 
 if __name__ == "__main__":

@@ -35,8 +35,11 @@ kernel's arrays, about 130 bytes a value, then the side-by-side rows and
 their text), about 1 MB for 4096 rows; blocks of 8192 rows wrote no faster
 and raised the peak RSS of an 8k dump by 2 MB more. Columns that repeat,
 the time and scale labels of the scalogram and maxima TSVs, are formatted
-once and held as 24-byte text, the longest '%.17g' gives, and gathered per
-block. The scalogram is written one scale at a time through scalogram_tsv,
+once by '%.17g' itself, cast to 24-byte text (the longest '%.17g' gives)
+and gathered per block. The scalogram formats one scale label per scale,
+which the loop does in about 2 us and the kernel, for its fixed cost, in
+about 0.1 ms; a column of 8192 times takes the loop about 10% longer (2-vCPU
+VM). The scalogram is written one scale at a time through scalogram_tsv,
 so a caller can stream it from the transform's rows.
 
 The signal and point readers open their input once, as UTF-8 whatever the
@@ -230,13 +233,8 @@ def _fields(values: np.ndarray) -> np.ndarray:
 def _labels(values: np.ndarray) -> np.ndarray:
     """Each value's '%.17g' text left-aligned in _LABEL bytes, NUL padded."""
     values = np.asarray(values, dtype=np.float64).ravel()
-    out = np.zeros((values.size, _LABEL), np.uint8)
-    for lo in range(0, values.size, _BLOCK_ROWS):
-        fields = _fields(values[lo:lo + _BLOCK_ROWS])
-        text = fields != 0
-        out[lo:lo + len(fields)][
-            np.arange(_LABEL) < text.sum(axis=1)[:, None]] = fields[text]
-    return out
+    return np.array([b"%.17g" % v for v in values.tolist()],
+                    dtype=f"S{_LABEL}").view(np.uint8).reshape(-1, _LABEL)
 
 
 def _write_rows(fh, sep: bytes, *columns) -> None:

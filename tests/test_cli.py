@@ -180,6 +180,83 @@ def test_generation_is_deterministic_across_invocations(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+_TRANSFORM = {"wavelet": "mexican-hat", "omega0": 6.0, "voices": 8}
+_DETECTION = {"threshold": 3.0, "persistence": 2.0, "max_alpha": None}
+
+# each run's whole manifest but its argv and version, which are the run's
+# tokens and the package's; the inputs f.csv (eq11), b.csv (fbm, dt = 1)
+# and p.csv (ifs) hold 512, 512 and 2000 rows. a_min and a_max are the
+# first and last scales of the grid the run used, never a flag's value
+_MANIFESTS = {
+    "gen-chirp-jump": (
+        "gen chirp-jump --n 300 --sigma 0.5 --seed 7 --out c.csv",
+        "gen chirp-jump", [], ["c.csv"], {"n": 300, "sigma": 0.5, "seed": 7}),
+    "gen-eq11": (
+        "gen eq11 --n 300 --out e.csv",
+        "gen eq11", [], ["e.csv"], {"n": 300, "sigma": 0.0, "seed": None}),
+    "gen-fbm": (
+        "gen fbm --hurst 0.3 --seed 2 --n 300 --out w.csv",
+        "gen fbm", [], ["w.csv"],
+        {"n": 300, "hurst": 0.3, "seed": 2, "dt": 1.0}),
+    "gen-ifs": (
+        "gen ifs --seed 3 --n 500 --burn-in 10 --out t.csv",
+        "gen ifs", [], ["t.csv"],
+        {"model": "barnsley", "n": 500, "seed": 3, "burn_in": 10}),
+    "gen-noise-add": (
+        "gen noise-add --input f.csv --sigma 0.1 --seed 4 --out g.csv",
+        "gen noise-add", ["f.csv"], ["g.csv"], {"sigma": 0.1, "seed": 4}),
+    # the outputs are listed in the flags' fixed order, not the argv's
+    "analyze-dumps": (
+        "analyze b.csv --maxima m.tsv --report r.json --scalogram s.tsv",
+        "analyze", ["b.csv"], ["r.json", "s.tsv", "m.tsv"],
+        {**_TRANSFORM, "a_min": 2.0, "a_max": 128.0, **_DETECTION}),
+    # the last scale of 8 voices from 2 at or below the flag's 100
+    "analyze-a-max": (
+        "analyze b.csv --wavelet morlet --a-max 100 --threshold 2.5 "
+        "--max-alpha 1.0 --maxima m.tsv",
+        "analyze", ["b.csv"], ["m.tsv"],
+        {**_TRANSFORM, "wavelet": "morlet", "a_min": 2.0,
+         "a_max": 2 * 2 ** (45 / 8), **_DETECTION, "threshold": 2.5,
+         "max_alpha": 1.0}),
+    # the default grid runs from 2 to at most 512 / 20
+    "estimate": (
+        "estimate b.csv --json j.json",
+        "estimate", ["b.csv"], ["j.json"],
+        {**_TRANSFORM, "a_min": 2.0, "a_max": 2 * 2 ** (29 / 8)}),
+    # from 3 up to the default grid's last scale, 2 * 2**(14 / 4)
+    "estimate-covariance": (
+        "estimate b.csv --voices 4 --a-min 3 --covariance v.tsv --json j.json",
+        "estimate", ["b.csv"], ["j.json", "v.tsv"],
+        {**_TRANSFORM, "voices": 4, "a_min": 3.0, "a_max": 3 * 2 ** (11 / 4)}),
+    "rasterize": (
+        "rasterize p.csv --width 32 --height 20 --out i.pgm",
+        "rasterize", ["p.csv"], ["i.pgm"],
+        {"width": 32, "height": 20, "bbox": None}),
+    "rasterize-bbox": (
+        "rasterize p.csv --bbox -3 3 0 11 --out i.pgm",
+        "rasterize", ["p.csv"], ["i.pgm"],
+        {"width": 512, "height": 512, "bbox": [-3.0, 3.0, 0.0, 11.0]}),
+}
+
+
+@pytest.mark.parametrize("run", list(_MANIFESTS))
+def test_every_subcommand_writes_its_whole_manifest(tmp_path, monkeypatch,
+                                                    run):
+    monkeypatch.chdir(tmp_path)
+    for argv in ("gen eq11 --n 512 --out f.csv",
+                 "gen fbm --hurst 0.7 --seed 1 --n 512 --out b.csv",
+                 "gen ifs --seed 1 --n 2000 --out p.csv"):
+        assert main(argv.split()) == 0
+    line, subcommand, inputs, outputs, params = _MANIFESTS[run]
+    argv = line.split()
+    assert main(argv) == 0
+    for out in outputs:
+        assert read_json(out + ".manifest.json") == {
+            "subcommand": subcommand, "argv": argv, "inputs": inputs,
+            "outputs": outputs, "params": params,
+            "version": wavekit.__version__}
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_missing_input_is_an_io_error(tmp_path, capsys):

@@ -667,8 +667,11 @@ def _writer_inputs(kind, rng):
         return TimeSeries(samples=finite, dt=1.0, t0=-4000.0)
     if kind == "points":
         return values[:8000].reshape(-1, 2)
-    times = np.arange(-40.0, 260.0)
-    scales = np.array([1.0, 2.0, 0.5, 3.0, 1.0 / 3.0, 1e-5, 1234567.0])
+    # the labels are cast to 24 bytes: the two values whose text is
+    # exactly that long, and -0 and 1e16, must come through whole
+    times = np.append(np.arange(-40.0, 260.0),
+                      [-2.2250738585072014e-308, -5e-324, -0.0, 1e16])
+    scales = np.array([1.0, 2.0, 0.5, 3.0, 1.0 / 3.0, 1e-5, 1234567.0, 1e16])
     if kind == "scalogram":
         return Scalogram(values=values[:scales.size * times.size].reshape(
             scales.size, times.size), scales=scales, times=times)

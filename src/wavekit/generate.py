@@ -122,9 +122,12 @@ def gen_fbm(hurst: float, n: int, seed: int, dt: float = 1.0) -> TimeSeries:
     ever fail to be nonnegative-definite, negative eigenvalues are clipped and
     the spectrum rescaled (approximate synthesis), with a warning.
 
-    Working memory is about 80 bytes per sample beside the 8-byte-per-sample
-    result: the steps run in place on one length-2n complex array and one
-    length-2n real array, plus the FFTs' outputs.
+    The steps run in place on one length-2n complex array and one length-2n
+    real array, and both FFTs write into their own input. The peak resident
+    set is set by pocketfft's scratch and twiddle tables beside those
+    arrays, which tracemalloc does not see: a fresh `wavekit gen fbm`
+    process peaks at about 62 MB at n = 2^18 and 134 MB at n = 2^20
+    (70 and 166 MB when each FFT wrote a new array).
     """
     if not (np.isfinite(hurst) and 0.0 < hurst < 1.0):
         raise InvalidHurstError(f"hurst must lie in (0, 1), got {hurst}")
@@ -133,14 +136,14 @@ def gen_fbm(hurst: float, n: int, seed: int, dt: float = 1.0) -> TimeSeries:
     if not (np.isfinite(dt) and dt > 0):
         raise InvalidSignalError(f"dt must be positive and finite, got {dt}")
 
-    # fft casts a real input to complex anyway, so the circulant is built
-    # complex; each array is dropped once the next step has what it needs
+    # the circulant is built complex so that fft can write its spectrum
+    # over it; each array is dropped once the next step has what it needs
     gamma = _fgn_covariance(hurst, n)
     c = np.zeros(2 * n, dtype=np.complex128)
     c.real[:n] = gamma
     c.real[n + 1:] = gamma[-1:0:-1]
     del gamma
-    raw = np.fft.fft(c).real
+    raw = np.fft.fft(c, out=c).real
     del c
     eigs = np.clip(raw, 0.0, None)
     if raw.min() < -1e-12 * max(raw.max(), 1.0):
@@ -164,7 +167,7 @@ def gen_fbm(hurst: float, n: int, seed: int, dt: float = 1.0) -> TimeSeries:
     # each complex product
     np.multiply(np.sqrt(eigs, out=eigs), z, out=z)
     del eigs
-    fgn = np.sqrt(2.0 * n) * np.fft.ifft(z).real[:n]
+    fgn = np.sqrt(2.0 * n) * np.fft.ifft(z, out=z).real[:n]
     del z
 
     samples = np.cumsum(fgn) * dt ** hurst

@@ -767,6 +767,15 @@ def test_estimate_at_256k_computes_only_interior_rows(tmp_path):
                     "--covariance", str(tmp_path / "c.tsv")) <= 70.0
 
 
+@_NEEDS_PROC
+def test_gen_fbm_at_256k_runs_its_ffts_in_place(tmp_path):
+    # both FFTs of the circulant embedding write into their own input, so
+    # no extra length-2n complex array is alive where the synthesis peaks
+    # (about 62 MB); an FFT output beside each input peaked at about 70 MB
+    assert _peak_mb("gen", "fbm", "--n", "262144", "--hurst", "0.7",
+                    "--seed", "1", "--out", str(tmp_path / "f.csv")) <= 66.0
+
+
 # ----------------------------------------------------------- argparse layer
 
 def test_version_flag(capsys):

@@ -123,8 +123,10 @@ def _reference_gen_fbm(hurst, n, seed, dt=1.0):
     return np.cumsum(fgn) * dt ** hurst
 
 
+# at n = 10007 and 65537, 2n has a large prime factor, which pocketfft
+# transforms by Bluestein's algorithm, not by its mixed-radix plan
 _FBM_CASES = [(n, hurst, 1.0)
-              for n in (2, 3, 17, 256, 1000, 4096, 65536, 262144)
+              for n in (2, 3, 17, 256, 1000, 4096, 10007, 65536, 65537, 262144)
               for hurst in (0.1, 0.5, 0.7, 0.95)]
 _FBM_CASES += [(4096, hurst, 0.5) for hurst in (0.1, 0.5, 0.7, 0.95)]
 

@@ -226,7 +226,11 @@ def _add_transform_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _check_voices(args) -> None:
-    """Refuse a --voices above _MAX_VOICES, before anything is read."""
+    """Refuse a --voices below 1 or above _MAX_VOICES, before anything is
+    read."""
+    if args.voices < 1:
+        raise ValueError(
+            f"voices per octave must be positive, got {args.voices}")
     if args.voices > _MAX_VOICES:
         raise ValueError(
             f"--voices must be at most {_MAX_VOICES}, got {args.voices}")
@@ -276,12 +280,12 @@ def _cmd_noise_add(args) -> tuple:
 
 def _cmd_analyze(args) -> tuple:
     _check_voices(args)
-    f = read_signal_csv(args.input)
     w = by_name(args.wavelet, omega0=args.omega0)
-    g = _grid_for(args, f, ScaleGrid.default_for)
     cfg = DetectionConfig(threshold_multiplier=args.threshold,
                           persistence_octaves=args.persistence,
                           max_alpha=args.max_alpha)
+    f = read_signal_csv(args.input)
+    g = _grid_for(args, f, ScaleGrid.default_for)
     require_detection_grid(g.scales)
     # the scalogram is written row by row as the transform makes the rows
     # (the calling thread formats one row while helper threads compute
@@ -306,9 +310,9 @@ def _cmd_analyze(args) -> tuple:
 
 def _cmd_estimate(args) -> tuple:
     _check_voices(args)
+    w = by_name(args.wavelet, omega0=args.omega0)
     f = read_signal_csv(args.input)
     require_estimable(f)
-    w = by_name(args.wavelet, omega0=args.omega0)
     g = _grid_for(args, f, estimation_grid)
     require_fit_grid(g)
     r = wavelet_variance(f, w, g)
@@ -335,7 +339,3 @@ def _cmd_rasterize(args) -> tuple:
     img = points_to_image(pts, args.width, args.height, bbox)
     write_pgm(args.out, img)
     return f"wrote {args.out} ({args.width}x{args.height})", ()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

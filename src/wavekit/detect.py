@@ -123,14 +123,11 @@ def _by_line(m: MaximaSet) -> _Lines:
     A point is trusted outside the cone of influence and below the grid's
     top octave, where neighbouring structure bleeds in.
     """
-    n, cone = len(m.times), m.cone_of_influence
-    # flagged one scale at a time in the points' (scale, time) order
-    bounds = np.searchsorted(m.scale_idx, np.arange(m.scales.size + 1))
-    trusted = np.zeros(m.n_points, dtype=bool)
+    n, t = len(m.times), m.time_idx
     below_top = m.scales <= m.scales[-1] / 2.0 + 1e-15 * m.scales[-1]
-    for j in np.flatnonzero(below_top).tolist():
-        t = m.time_idx[bounds[j]:bounds[j + 1]]
-        trusted[bounds[j]:bounds[j + 1]] = (t >= cone[j]) & (t < n - cone[j])
+    c = m.cone_of_influence[m.scale_idx]
+    trusted = below_top[m.scale_idx] & (t >= c) & (t < n - c)
+    del c  # before the copies below, which can then reuse its memory
     pts = m.line_points
     a = m.scales[m.scale_idx[pts]]  # before the other copies: one temporary
     return _Lines(time_idx=m.time_idx[pts], values=m.values[pts], a=a,
@@ -238,8 +235,8 @@ def _line_readout(lines: _Lines, s: slice, thr: float, loc_floor: float,
 
 def require_detection_grid(scales: np.ndarray) -> None:
     """Refuse fewer than the 4 scales detection needs (TooFewScalesError):
-    detect_from_maxima checks its maxima's scales, and the command line
-    checks its grid before a transform that streams a file."""
+    detect_from_maxima checks its maxima's scales, and detect_singularities
+    and the command line check their grid before the transform."""
     if scales.size < 4:
         raise TooFewScalesError(f"{scales.size} scales is too coarse a grid")
 
@@ -250,10 +247,12 @@ def detect_singularities(f: TimeSeries, wavelet, grid: ScaleGrid | None = None,
 
     Pipeline: per-scale modulus maxima of the CWT on a log-spaced grid,
     found row by row as cwt_maxima computes them and chained into lines,
-    then detect_from_maxima on them.
+    then detect_from_maxima on them. A grid of fewer than 4 scales is
+    refused before anything is computed.
     """
-    return detect_from_maxima(
-        cwt_maxima(f, wavelet, grid or ScaleGrid.default_for(f)), config)
+    g = grid or ScaleGrid.default_for(f)
+    require_detection_grid(g.scales)
+    return detect_from_maxima(cwt_maxima(f, wavelet, g), config)
 
 
 def detect_from_maxima(maxima: MaximaSet,

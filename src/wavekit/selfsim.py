@@ -101,13 +101,12 @@ def _interior_counts(scales: np.ndarray, cone: np.ndarray, n: int):
     NoValidSamplesError, before any row is computed, so every cone that
     passes is narrower than n / 2, as the transform's rows need.
     """
-    widths = cone.tolist()
-    for a, k in zip(scales, widths):
-        if k >= n - k:
-            raise NoValidSamplesError(
-                f"scale {a:.6g} leaves no samples outside the cone "
-                f"of influence; shrink the grid ceiling")
-    return np.array([n - 2 * k for k in widths], dtype=np.int64)
+    swallowed = np.flatnonzero(cone >= n - cone)
+    if swallowed.size:
+        raise NoValidSamplesError(
+            f"scale {scales[swallowed[0]]:.6g} leaves no samples outside the "
+            f"cone of influence; shrink the grid ceiling")
+    return n - 2 * cone
 
 
 def _mean_power(j: int, interior: np.ndarray) -> float:

@@ -297,16 +297,16 @@ def _block_plan(size: int, whole: int):
 
 
 def _block_spectra(x: np.ndarray, size: int, step: int, fft,
-                   pad: int) -> list:
+                   pad: int) -> np.ndarray:
     """fft of the blocks y[b step : b step + size] of y = pad zeros then x,
-    zero past its end, for every block start b step below y.size, one block
-    per row, split into equal chunks of per <= max(1, _CHUNK // step)
-    blocks: chunk i holds blocks i per .. i per + per - 1. y is not made:
-    only a chunk with the pad or past the end of x is copied."""
+    zero past its end, for every block start b step below y.size: one
+    (count, bins) array, one block per row, transformed max(1, _CHUNK //
+    step) blocks at a time. y is not made: only a chunk with the pad or
+    past the end of x is copied."""
     count = (x.size + pad - 1) // step + 1
-    chunks = -(-count // max(1, _CHUNK // step))
-    per = -(-count // chunks)
-    spectra = []
+    per = max(1, _CHUNK // step)
+    bins = size // 2 + 1 if fft is np.fft.rfft else size
+    spectra = np.empty((count, bins), np.complex128)
     for b in range(0, count, per):
         e = min(b + per, count)
         # the chunk is y[b step : (e - 1) step + size], x from lo to hi
@@ -314,9 +314,9 @@ def _block_spectra(x: np.ndarray, size: int, step: int, fft,
         seg = x[max(lo, 0):hi]
         if seg.size < hi - lo:  # the pad, or blocks past the end
             seg = np.pad(seg, (max(-lo, 0), hi - max(lo, 0) - seg.size))
-        spectra.append(fft(np.lib.stride_tricks.as_strided(
+        fft(np.lib.stride_tricks.as_strided(
             seg, (e - b, size), (step * seg.strides[0], seg.strides[0]),
-            writeable=False)))
+            writeable=False), out=spectra[b:e])
     return spectra
 
 
@@ -388,12 +388,11 @@ def _fft_rows(f: TimeSeries, w: Wavelet, g: ScaleGrid, reduce, cone=0):
         edge = c.size - 1
         count = (hi - 1 - edge) // step + 1
         spec = fft(c[::-1] * scale, size)
-        per = spectra[0].shape[0]
+        per = max(1, _CHUNK // step)
         out = np.empty((count, step), dtype)
         for b in range(0, count, per):
             e = min(b + per, count)
-            out[b:e] = ifft(spectra[b // per][:e - b] * spec,
-                            size)[:, edge:edge + step]
+            out[b:e] = ifft(spectra[b:e] * spec, size)[:, edge:edge + step]
         return out.reshape(-1)[lo - edge:hi - edge]
 
     def row(j, lo, hi, size, step, spectra):
@@ -626,13 +625,12 @@ def cwt_maxima(f: TimeSeries, w: Wavelet, g: ScaleGrid,
     it in scale order while the transform runs; this is how a scalogram
     is written without the matrix.
     """
-    if consume is None:
-        peaks = list(_fft_rows(f, w, g, _row_maxima))
-    else:
-        peaks = []
-        for j, (row, p) in enumerate(_fft_rows(
-                f, w, g, lambda j, row: (row, _row_maxima(j, row)))):
+    peaks = []
+    for j, (row, p) in enumerate(_fft_rows(
+            f, w, g, lambda j, row: (row if consume else None,
+                                     _row_maxima(j, row)))):
+        if consume:
             consume(j, row)
-            peaks.append(p)
+        peaks.append(p)
     return _chain(peaks, g.scales.copy(), f.time_axis(), _cone(f, w, g),
                   f.dt, w)

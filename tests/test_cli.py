@@ -66,12 +66,15 @@ def test_max_alpha_flag_lands_in_the_report(tmp_path):
     assert all(e["alpha"] <= 1.0 for e in d["events"])
 
 
-@pytest.mark.parametrize("flag, value, name", [
+_NON_FINITE = [
     ("--threshold", "nan", "threshold_multiplier"),
     ("--threshold", "-inf", "threshold_multiplier"),
     ("--persistence", "inf", "persistence_octaves"),
     ("--max-alpha", "nan", "max_alpha"),
-])
+]
+
+
+@pytest.mark.parametrize("flag, value, name", _NON_FINITE)
 def test_analyze_rejects_non_finite_settings(tmp_path, capsys, flag, value,
                                              name):
     # NaN and Infinity are not JSON: no report or manifest may carry them
@@ -655,6 +658,25 @@ def test_out_of_range_grid_and_wavelet_are_invalid_input(
             str(tmp_path / "out.json")]
     argv += [str(tmp_path / a) if a.endswith(".tsv") else a for a in dumps]
     assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+# the refusals that read no input: the options alone decide them
+_OPTION_ONLY = [case[:2] + case[3:] for case in _REFUSED
+                if case[1].startswith(("--omega0", "--voices"))] + \
+    [("analyze", f"{flag}={value}", f"{name} must be finite")
+     for flag, value, name in _NON_FINITE]
+
+
+@pytest.mark.parametrize("command, setting, message", _OPTION_ONLY,
+                         ids=["-".join(case) for case in _OPTION_ONLY])
+def test_option_errors_are_refused_before_the_input_is_read(
+        tmp_path, capsys, command, setting, message):
+    """A missing input would exit 3 if it were read first."""
+    to = "--report" if command == "analyze" else "--json"
+    assert main([command, str(tmp_path / "missing.csv"), *setting.split(),
+                 to, str(tmp_path / "out.json")]) == 2
     assert message in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 

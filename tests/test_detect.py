@@ -3,6 +3,7 @@ from math import log2
 import numpy as np
 import pytest
 
+from wavekit import transform
 from wavekit import (DetectionConfig, Haar, MexicanHat, Morlet, ScaleGrid,
                      TimeSeries, TooFewScalesError, cwt_fft, cwt_maxima,
                      detect_singularities, gen_chirp_jump, gen_eq11,
@@ -216,6 +217,24 @@ def test_host_walk_matches_the_hop_search(w):
     assert grown  # some spans do continue along a host
 
 
+@pytest.mark.parametrize("w", [MEXHAT, Morlet(), Haar()],
+                         ids=lambda w: w.name)
+def test_trusted_points_match_a_per_scale_loop(w):
+    """The trusted mask, against the loop over scales it replaced."""
+    f = gen_chirp_jump(512, sigma=0.3, seed=3)
+    m = cwt_maxima(f, w, ScaleGrid.default_for(f))
+    n, cone = m.times.size, m.cone_of_influence
+    want = np.zeros(m.n_points, dtype=bool)
+    for j, a in enumerate(m.scales):
+        if a <= m.scales[-1] / 2.0 + 1e-15 * m.scales[-1]:
+            on = m.scale_idx == j
+            t = m.time_idx[on]
+            want[on] = (t >= cone[j]) & (t < n - cone[j])
+    got = _by_line(m).trusted
+    assert 0 < np.count_nonzero(got) < got.size
+    assert np.array_equal(got, want[m.line_points])
+
+
 def test_default_config_values():
     cfg = DetectionConfig()
     assert cfg.threshold_multiplier == 3.0
@@ -238,6 +257,17 @@ def test_config_refuses_non_finite_settings(name, value):
 
 
 def test_too_coarse_grid_is_rejected():
+    f = gen_chirp_jump(256)
+    g = ScaleGrid.with_count(2.0 * f.dt, 8.0 * f.dt, 3)
+    with pytest.raises(TooFewScalesError):
+        detect_singularities(f, MEXHAT, grid=g)
+
+
+def test_too_coarse_grid_is_rejected_before_the_transform(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a kernel was sampled")
+
+    monkeypatch.setattr(transform, "_kernel", refuse)
     f = gen_chirp_jump(256)
     g = ScaleGrid.with_count(2.0 * f.dt, 8.0 * f.dt, 3)
     with pytest.raises(TooFewScalesError):
